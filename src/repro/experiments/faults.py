@@ -49,10 +49,10 @@ and the retry (execution 2) is undisturbed.  Block fault kinds:
     Let the block succeed but deterministically perturb its results:
     exercises speculative-duplicate mismatch detection.
 
-**Service-level faults** target the job-service worker fleet
-(:mod:`repro.service.supervisor`) instead of an experiment or block.
+**Service-level faults** target the job service's worker processes
+(:mod:`repro.service.jobs`) instead of an experiment or block.
 Three pseudo-ids name the substrate being attacked, and ``@SEQ`` counts
-*dispatches across the whole fleet* (the supervisor's global job
+*dispatches across the whole service* (the dispatcher's global job
 sequence, starting at 1) -- so a requeued run's retry lands on the next
 sequence number and is undisturbed unless separately targeted:
 

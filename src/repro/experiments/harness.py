@@ -449,7 +449,6 @@ class ShardedScheduler:
         self,
         jobs: int | None = None,
         block_size: int = 64,
-        threadsafe: bool = False,
         *,
         supervised: bool = True,
         retry=None,
@@ -469,7 +468,6 @@ class ShardedScheduler:
             raise ConfigurationError(f"block_size must be >= 1, got {block_size}")
         self.jobs = int(jobs)
         self.block_size = int(block_size)
-        self.threadsafe = bool(threadsafe)
         self.supervised = bool(supervised)
         self.retry = retry
         self.block_timeout = block_timeout
@@ -480,10 +478,10 @@ class ShardedScheduler:
         self._pool = None
 
     def __enter__(self) -> "ShardedScheduler":
-        from repro.experiments.parallel import subprocess_context
+        from repro.supervise import subprocess_context
 
         if not self.supervised and self.jobs > 1:
-            ctx = subprocess_context(self.threadsafe)
+            ctx = subprocess_context()
             self._pool = ctx.Pool(processes=self.jobs)
         return self
 
@@ -577,7 +575,6 @@ class ShardedScheduler:
             keep_going=self.keep_going,
             speculate=self.speculate,
             fault_plan=self.fault_plan,
-            threadsafe=self.threadsafe,
         )
         store = (
             BlockCheckpointStore(self.checkpoint_dir)
@@ -619,9 +616,9 @@ class ShardedScheduler:
             outs = [worker(item) for item in items]
             pooled = False
         else:
-            from repro.experiments.parallel import _check_picklable_fn
+            from repro.supervise import check_picklable
 
-            _check_picklable_fn(worker)
+            check_picklable(worker, "ShardedScheduler.run")
             chunksize = max(1, len(items) // (self.jobs * 4))
             outs = self._pool.map(worker, items, chunksize=chunksize)
             pooled = True

@@ -3,8 +3,8 @@
 The experiment harness is embarrassingly parallel: every repetition is an
 independent simulation with a pre-derived seed.  This module provides a
 drop-in parallel variant of :func:`repro.experiments.harness.replicate`
-built on :mod:`multiprocessing` (process pool; simulations are pure CPU
-and hold the GIL, so threads would not help).
+that maps chunks of repetitions over a :class:`repro.supervise.WorkerPool`
+(simulations are pure CPU and hold the GIL, so threads would not help).
 
 Determinism is preserved by construction: seeds are derived *before*
 dispatch from ``(root_seed, path, rep)``, so results are identical to the
@@ -18,14 +18,15 @@ closures, fall back to the serial :func:`replicate`.
 
 from __future__ import annotations
 
-import multiprocessing as mp
+import functools
 import os
 from typing import Callable, Sequence
 
 from repro.errors import ConfigurationError
 from repro.rng import derive_seed
+from repro.supervise import WorkerPool
 
-__all__ = ["replicate_parallel", "default_jobs", "run_seeded", "subprocess_context"]
+__all__ = ["replicate_parallel", "default_jobs"]
 
 
 def default_jobs() -> int:
@@ -33,52 +34,9 @@ def default_jobs() -> int:
     return max(1, (os.cpu_count() or 2) - 1)
 
 
-def subprocess_context(threadsafe: bool = False) -> mp.context.BaseContext:
-    """The preferred multiprocessing context for worker dispatch.
-
-    ``fork`` keeps the warm imported state on POSIX and is the default.
-    Pass ``threadsafe=True`` when the *caller* dispatches from multiple
-    threads (as the fault-tolerant runner does with ``--jobs N``): forking
-    a multi-threaded process can deadlock the child on locks held mid-fork
-    (BLAS thread pools are the classic case), so that path prefers
-    ``forkserver``, then ``spawn``.
-    """
-    methods = mp.get_all_start_methods()
-    if not threadsafe and "fork" in methods:
-        return mp.get_context("fork")
-    for method in ("forkserver", "spawn"):
-        if method in methods:
-            return mp.get_context(method)
-    return mp.get_context()
-
-
-def run_seeded(args: tuple[Callable, int, tuple]) -> object:
-    """Pool work item: ``(fn, seed, extra_args) -> fn(seed, *extra_args)``.
-
-    Module-level so it is picklable under the default start method.
-    """
-    fn, seed, extra = args
-    return fn(seed, *extra)
-
-
-def _check_picklable_fn(fn: Callable) -> None:
-    """Reject lambdas and closures before they kill the worker pool.
-
-    Pool dispatch pickles the work function by *reference* (module + qualified
-    name), so a lambda or a function defined inside another function cannot
-    cross the process boundary -- without this check the pool dies with an
-    opaque ``PicklingError`` deep inside multiprocessing.
-    """
-    name = getattr(fn, "__name__", "")
-    qualname = getattr(fn, "__qualname__", name)
-    if name == "<lambda>" or "<locals>" in qualname:
-        kind = "a lambda" if name == "<lambda>" else f"defined inside {qualname.split('.<locals>')[0]}()"
-        raise ConfigurationError(
-            f"replicate_parallel needs a picklable work function, but {fn!r} "
-            f"is {kind} and cannot be sent to worker processes. Move it to "
-            "module level (bind parameters via extra_args or functools."
-            "partial), or use the serial replicate() / jobs=1 instead."
-        )
+def _run_chunk(fn: Callable, extra: tuple, seeds: list) -> list:
+    """Pool task: ``fn(seed, *extra)`` for every seed of one chunk."""
+    return [fn(seed, *extra) for seed in seeds]
 
 
 def replicate_parallel(
@@ -114,9 +72,8 @@ def replicate_parallel(
         raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
     if jobs == 1 or reps == 1:
         return [fn(seed, *extra) for seed in seeds]
-    _check_picklable_fn(fn)
-    items = [(fn, seed, extra) for seed in seeds]
-    ctx = subprocess_context()  # warm forked state; chunk to cut IPC
-    chunksize = max(1, reps // (jobs * 4))
-    with ctx.Pool(processes=jobs) as pool:
-        return pool.map(run_seeded, items, chunksize=chunksize)
+    chunk = max(1, reps // (jobs * 4))  # a few chunks per worker cuts IPC
+    chunks = [seeds[i:i + chunk] for i in range(0, reps, chunk)]
+    task = functools.partial(_run_chunk, fn, extra)
+    with WorkerPool(task, min(jobs, len(chunks)), caller="replicate_parallel") as pool:
+        return [value for values in pool.map(chunks) for value in values]

@@ -6,11 +6,12 @@ each experiment in a *supervised unit of work*, in the same spirit as the
 paper's protocols, which make progress despite an adversary disrupting a
 ``(T, 1-eps)`` fraction of slots:
 
-* **isolation** -- every attempt runs in its own worker process, so a
-  crash (or even a SIGKILL/OOM kill) loses one attempt, not the run;
-* **timeout** -- a wall-clock budget per attempt; a hung worker is killed
-  and recorded as :class:`~repro.errors.ExperimentTimeoutError`, never
-  waited on forever;
+* **isolation** -- every attempt runs in a fresh worker process of a
+  :class:`repro.supervise.WorkerPool`, so a crash (or even a SIGKILL/OOM
+  kill) loses one attempt, not the run;
+* **timeout** -- a wall-clock budget per attempt; the pool kills a hung
+  worker and the attempt is recorded as
+  :class:`~repro.errors.ExperimentTimeoutError`, never waited on forever;
 * **retry** -- transient failures (crashes, dead workers) are retried
   with exponential backoff and seeded jitter, up to a bounded attempt
   count.  :class:`~repro.errors.ReproError` failures are configuration
@@ -33,23 +34,19 @@ and restored checkpoints render byte-identically by construction.
 from __future__ import annotations
 
 import importlib
-import threading
 import time
-import traceback
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait as futures_wait
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait as connection_wait
 from typing import Callable
 
 from repro import telemetry as _telemetry
-from repro.errors import ChecksumMismatchError, ConfigurationError, ReproError
+from repro.errors import ChecksumMismatchError, ConfigurationError
 from repro.experiments.checkpoint import RunDir, atomic_write_text, corrupt_checkpoint
 from repro.experiments.faults import FaultPlan
 from repro.experiments.harness import Column, Table
-from repro.experiments.parallel import subprocess_context
 from repro.experiments.retry import RetryPolicy
 from repro.experiments.shard_supervisor import shard_context
+from repro.supervise import Backlog, InlinePool, WorkerPool
 from repro.telemetry.export import prometheus_text, write_jsonl
 from repro.telemetry.report import TELEMETRY_JSONL, TELEMETRY_PROM, TELEMETRY_SUBDIR
 
@@ -64,6 +61,9 @@ __all__ = [
 
 #: Outcome statuses that count as a usable table.
 _OK_STATUSES = ("ok", "restored")
+
+#: Cap on one supervision wait (results wake it at once).
+_WAIT_CAP_S = 0.5
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,7 +87,7 @@ class RunnerConfig:
     retry: RetryPolicy = field(default_factory=RetryPolicy)
     keep_going: bool = True
     fault_plan: FaultPlan | None = None
-    isolate: bool = True  # False: in-process attempts (no timeout/kill)
+    isolate: bool = True  # False: in-process attempts, one at a time (no timeout/kill)
     telemetry: bool = False  # collect per-attempt metrics and merge them
     telemetry_stride: int = _telemetry.DEFAULT_STRIDE
     shard_jobs: int | None = None  # None: experiments run their cells unsharded
@@ -131,79 +131,42 @@ class ExperimentOutcome:
         return self.status in _OK_STATUSES
 
 
-class _AttemptFailure(Exception):
-    """Internal: one attempt failed; carries retryability and diagnostics."""
+@dataclass(slots=True)
+class _Pending:
+    """Supervision state of one experiment between its attempts."""
 
-    def __init__(self, kind: str, message: str, tb: str | None, permanent: bool):
-        super().__init__(message)
-        self.kind = kind  # "error" | "crash" | "timeout"
-        self.message = message
-        self.tb = tb
-        self.permanent = permanent
+    exp_id: str
+    attempts: int = 0
+    started: float = 0.0  # first dispatch (time.perf_counter)
+    attempt_started: float = 0.0
+    not_before: float = 0.0  # retry backoff (time.monotonic)
 
 
-def _attempt_worker(
-    conn, module_name, exp_id, preset, seed, attempt, fault_plan, tel_stride=None,
-    shard=None,
-):
-    """Child-process body: run one experiment attempt, ship the result back.
+def _run_attempt(job) -> tuple[dict, dict | None]:
+    """One experiment attempt: the body inline and worker attempts share.
 
-    Module-level (picklable by reference) so it works under fork,
-    forkserver and spawn alike.  All exceptions -- including injected
-    faults -- are serialized rather than raised, so the parent can decide
-    retryability; only a hard kill leaves the pipe empty.
-
-    With *tel_stride* set, the attempt runs under a fresh scoped telemetry
-    sink and its registry ships home alongside the table (as JSON, the
-    same merge-safe form the exporters use), so the parent can aggregate
-    across processes regardless of the start method.
-
-    With *shard* set (a dict of :class:`~repro.experiments
-    .shard_supervisor.ShardContext` fields), the attempt installs the
-    ambient shard context so the experiment's cells run on the supervised
-    sharded path; the child process is discarded afterwards, so no
-    restore is needed.
+    Returns ``(table_json, telemetry_json | None)``: results cross the
+    worker boundary as the table's JSON form.  With a telemetry stride the
+    attempt runs under a fresh scoped sink, whose registry ships home as
+    JSON (the merge-safe form the exporters use).  With *shard* set (a
+    dict of :class:`~repro.experiments.shard_supervisor.ShardContext`
+    fields) the experiment's cells run on the supervised sharded path.
     """
-    try:
+    module_name, exp_id, attempt, preset, seed, fault_plan, tel_stride, shard = job
+    with ExitStack() as stack:
         if shard is not None:
-            from repro.experiments.shard_supervisor import (
-                ShardContext as _ShardContext,
-                configure_shard_context,
-            )
-
-            configure_shard_context(_ShardContext(**shard))
+            stack.enter_context(shard_context(**shard))
         if fault_plan is not None:
             fault_plan.fire(exp_id, attempt)
         module = importlib.import_module(module_name)
         kwargs = {"preset": preset}
         if seed is not None:
             kwargs["seed"] = seed
-        if tel_stride is not None:
-            with _telemetry.collecting(stride=tel_stride) as tel:
-                table = module.run(**kwargs)
-            conn.send(
-                (
-                    "ok",
-                    {"table": table.to_jsonable(), "telemetry": tel.to_jsonable()},
-                )
-            )
-        else:
-            table = module.run(**kwargs)
-            conn.send(("ok", table.to_jsonable()))
-    except BaseException as exc:  # noqa: BLE001 -- ship *everything* home
-        conn.send(
-            (
-                "error",
-                {
-                    "type": type(exc).__name__,
-                    "message": str(exc),
-                    "traceback": traceback.format_exc(),
-                    "permanent": isinstance(exc, ReproError),
-                },
-            )
-        )
-    finally:
-        conn.close()
+        if tel_stride is None:
+            return module.run(**kwargs).to_jsonable(), None
+        tel = stack.enter_context(_telemetry.collecting(stride=tel_stride))
+        table = module.run(**kwargs)
+        return table.to_jsonable(), tel.to_jsonable()
 
 
 class Runner:
@@ -244,42 +207,18 @@ class Runner:
         self.config = config
         self.run_dir = run_dir
         self.resume = resume
-        # Worker processes are forked directly when dispatch is
-        # single-threaded; multi-threaded dispatch needs a thread-safe
-        # start method (forking under live threads can deadlock in BLAS).
-        self._ctx = subprocess_context(threadsafe=config.jobs > 1)
-        # Run-level telemetry aggregate; attempt shards merge in under a
-        # lock because multi-job dispatch finalizes from pool threads.
+        # Run-level telemetry aggregate; attempt shards merge in.
         self.telemetry: _telemetry.Telemetry | None = (
             _telemetry.Telemetry(stride=config.telemetry_stride)
             if config.telemetry
             else None
         )
-        self._tel_lock = threading.Lock()
 
     # -- single attempt ----------------------------------------------------
 
     def _journal(self, record: dict) -> None:
         if self.run_dir is not None:
             self.run_dir.append_journal(record)
-
-    def _attempt(self, exp_id: str, attempt: int) -> Table:
-        """Run one attempt; returns the table or raises :class:`_AttemptFailure`."""
-        if self.config.isolate:
-            status, payload = self._attempt_isolated(exp_id, attempt)
-        else:
-            status, payload = self._attempt_inline(exp_id, attempt)
-        if status == "ok":
-            if isinstance(payload, dict) and "telemetry" in payload:
-                self._absorb_telemetry(exp_id, attempt, payload["telemetry"])
-                payload = payload["table"]
-            return Table.from_jsonable(payload)
-        raise _AttemptFailure(
-            kind="error",
-            message=f"{payload['type']}: {payload['message']}",
-            tb=payload.get("traceback"),
-            permanent=payload["permanent"],
-        )
 
     def _shard_settings(self) -> dict | None:
         """The ambient shard-context fields for attempts, or None.
@@ -300,105 +239,17 @@ class Runner:
             "block_timeout": self.config.shard_block_timeout,
             "checkpoint_dir": checkpoint_dir,
             "fault_plan": self.config.fault_plan,
-            # Inline attempts may be dispatched from runner threads; shard
-            # workers must then avoid fork-under-threads.
-            "threadsafe": not self.config.isolate and self.config.jobs > 1,
         }
 
-    def _attempt_inline(self, exp_id: str, attempt: int):
-        """In-process attempt (no isolation: hangs/timeouts unsupported)."""
-        try:
-            plan = self.config.fault_plan
-            if plan is not None:
-                plan.fire(exp_id, attempt)
-            module = importlib.import_module(self.modules[exp_id])
-            kwargs = {"preset": self.config.preset}
-            if self.config.seed is not None:
-                kwargs["seed"] = self.config.seed
-            shard = self._shard_settings()
-            with ExitStack() as stack:
-                if shard is not None:
-                    stack.enter_context(shard_context(**shard))
-                if self.config.telemetry:
-                    tel = stack.enter_context(
-                        _telemetry.collecting(stride=self.config.telemetry_stride)
-                    )
-                    table = module.run(**kwargs)
-                    table_json = table.to_jsonable()
-                    tel_json = tel.to_jsonable()
-                else:
-                    table_json, tel_json = module.run(**kwargs).to_jsonable(), None
-            if tel_json is not None:
-                return "ok", {"table": table_json, "telemetry": tel_json}
-            return "ok", table_json
-        except Exception as exc:  # noqa: BLE001 -- mirrors the worker protocol
-            return "error", {
-                "type": type(exc).__name__,
-                "message": str(exc),
-                "traceback": traceback.format_exc(),
-                "permanent": isinstance(exc, ReproError),
-            }
-
-    def _attempt_isolated(self, exp_id: str, attempt: int):
-        """Run one attempt in a killable worker process."""
-        recv, send = self._ctx.Pipe(duplex=False)
-        proc = self._ctx.Process(
-            target=_attempt_worker,
-            args=(
-                send,
-                self.modules[exp_id],
-                exp_id,
-                self.config.preset,
-                self.config.seed,
-                attempt,
-                self.config.fault_plan,
-                self.config.telemetry_stride if self.config.telemetry else None,
-                self._shard_settings(),
-            ),
-            name=f"repro-{exp_id}-attempt{attempt}",
+    def _job(self, exp: _Pending) -> tuple:
+        """The picklable :func:`_run_attempt` argument for *exp*'s next attempt."""
+        config = self.config
+        return (
+            self.modules[exp.exp_id], exp.exp_id, exp.attempts, config.preset,
+            config.seed, config.fault_plan,
+            config.telemetry_stride if config.telemetry else None,
+            self._shard_settings(),
         )
-        proc.start()
-        send.close()  # parent holds only the read end
-        try:
-            ready = connection_wait([recv, proc.sentinel], self.config.timeout)
-            if not ready:  # wall-clock budget exhausted: kill, don't wait
-                self._kill(proc)
-                raise _AttemptFailure(
-                    kind="timeout",
-                    message=(
-                        f"ExperimentTimeoutError: {exp_id} attempt {attempt} "
-                        f"exceeded {self.config.timeout:.1f}s and was killed"
-                    ),
-                    tb=None,
-                    permanent=not self.config.retry.retry_timeouts,
-                )
-            msg = None
-            try:
-                # The sentinel can fire while the result is still in flight;
-                # a short grace poll catches it either way.
-                if recv.poll(0.25):
-                    msg = recv.recv()
-            except (EOFError, OSError):
-                msg = None
-            if msg is None:  # died without reporting: crash / OOM / SIGKILL
-                proc.join(5)
-                raise _AttemptFailure(
-                    kind="crash",
-                    message=(
-                        f"worker for {exp_id} attempt {attempt} died without a "
-                        f"result (exit code {proc.exitcode})"
-                    ),
-                    tb=None,
-                    permanent=False,
-                )
-            proc.join(10)
-            if proc.is_alive():
-                self._kill(proc)
-            return msg
-        finally:
-            recv.close()
-            if proc.is_alive():
-                self._kill(proc)
 
     def _absorb_telemetry(self, exp_id: str, attempt: int, data: dict) -> None:
         """Merge one attempt's telemetry shard into the run-level aggregate.
@@ -410,8 +261,7 @@ class Runner:
         if self.telemetry is None:
             return
         shard = _telemetry.Telemetry.from_jsonable(data)
-        with self._tel_lock:
-            self.telemetry.merge(shard)
+        self.telemetry.merge(shard)
         self._journal(
             {
                 "event": "telemetry",
@@ -440,94 +290,68 @@ class Runner:
             tel_dir / TELEMETRY_PROM, prometheus_text(self.telemetry.metrics)
         )
 
-    @staticmethod
-    def _kill(proc) -> None:
-        proc.terminate()
-        proc.join(5)
-        if proc.is_alive():
-            proc.kill()
-            proc.join(5)
-
     # -- one experiment, with retries -------------------------------------
 
-    def _supervise(self, exp_id: str) -> ExperimentOutcome:
-        """Drive one experiment through attempts, checkpoint its result."""
-        policy = self.config.retry
-        started = time.perf_counter()
-        last: _AttemptFailure | None = None
-        for attempt in range(1, policy.max_attempts + 1):
-            self._journal({"event": "attempt_start", "id": exp_id, "attempt": attempt})
-            attempt_start = time.perf_counter()
-            try:
-                table = self._attempt(exp_id, attempt)
-            except _AttemptFailure as failure:
-                last = failure
-                self._journal(
-                    {
-                        "event": "attempt_end",
-                        "id": exp_id,
-                        "attempt": attempt,
-                        "status": failure.kind,
-                        "elapsed": round(time.perf_counter() - attempt_start, 3),
-                        "error": failure.message,
-                        "traceback": failure.tb,
-                        "permanent": failure.permanent,
-                    }
-                )
-                if failure.permanent or attempt == policy.max_attempts:
-                    break
-                time.sleep(policy.delay(exp_id, attempt))
-                continue
-            elapsed = time.perf_counter() - started
-            self._journal(
-                {
-                    "event": "attempt_end",
-                    "id": exp_id,
-                    "attempt": attempt,
-                    "status": "ok",
-                    "elapsed": round(time.perf_counter() - attempt_start, 3),
-                }
-            )
+    def _settle(self, exp: _Pending, event) -> ExperimentOutcome | None:
+        """Journal one finished attempt; the experiment's outcome, or None
+        when it gets another attempt (its backoff set in ``not_before``)."""
+        exp_id, attempt = exp.exp_id, exp.attempts
+        record = {
+            "event": "attempt_end",
+            "id": exp_id,
+            "attempt": attempt,
+            "elapsed": round(time.perf_counter() - exp.attempt_started, 3),
+        }
+        if event.kind == "ok":
+            table_json, tel_json = event.value
+            if tel_json is not None:
+                self._absorb_telemetry(exp_id, attempt, tel_json)
+            table = Table.from_jsonable(table_json)
+            self._journal({**record, "status": "ok"})
             checksum = self._checkpoint(table, exp_id, attempt)
-            self._journal(
-                {
-                    "event": "done",
-                    "id": exp_id,
-                    "status": "ok",
-                    "attempts": attempt,
-                    "elapsed": round(elapsed, 3),
-                    "checksum": checksum,
-                }
+            return self._done(exp, "ok", table, checksum=checksum)
+        policy = self.config.retry
+        if event.kind == "error":
+            kind, message, permanent = "error", event.message, event.permanent
+        elif event.kind == "timeout":
+            kind, permanent = "timeout", not policy.retry_timeouts
+            message = (
+                f"ExperimentTimeoutError: {exp_id} attempt {attempt} "
+                f"exceeded {self.config.timeout:.1f}s and was killed"
             )
-            return ExperimentOutcome(
-                exp_id=exp_id,
-                status="ok",
-                table=table,
-                attempts=attempt,
-                elapsed=elapsed,
-                checksum=checksum,
-            )
-        assert last is not None
-        elapsed = time.perf_counter() - started
-        status = "timeout" if last.kind == "timeout" else "failed"
+        else:
+            kind, permanent = "crash", False
+            message = f"{exp_id} attempt {attempt}: {event.message}"
+        self._journal(
+            {
+                **record,
+                "status": kind,
+                "error": message,
+                "traceback": event.traceback,
+                "permanent": permanent,
+            }
+        )
+        if not permanent and attempt < policy.max_attempts:
+            exp.not_before = time.monotonic() + policy.delay(exp_id, attempt)
+            return None
+        status = "timeout" if kind == "timeout" else "failed"
+        return self._done(exp, status, error=message, traceback=event.traceback)
+
+    def _done(self, exp: _Pending, status: str, table=None, **fields):
+        """Journal an experiment's final record and return its outcome."""
+        elapsed = time.perf_counter() - exp.started
         self._journal(
             {
                 "event": "done",
-                "id": exp_id,
+                "id": exp.exp_id,
                 "status": status,
-                "attempts": attempt,
+                "attempts": exp.attempts,
                 "elapsed": round(elapsed, 3),
-                "error": last.message,
-                "traceback": last.tb,
+                **fields,
             }
         )
         return ExperimentOutcome(
-            exp_id=exp_id,
-            status=status,
-            attempts=attempt,
-            elapsed=elapsed,
-            error=last.message,
-            traceback=last.tb,
+            exp.exp_id, status, table, exp.attempts, elapsed, **fields
         )
 
     def _checkpoint(self, table: Table, exp_id: str, attempt: int) -> str | None:
@@ -564,56 +388,27 @@ class Runner:
     ) -> list[ExperimentOutcome]:
         """Run every experiment; returns outcomes in ``ids`` order.
 
-        *on_outcome* is invoked as each experiment finalizes (possibly from
-        a dispatcher thread, in completion order).  With ``keep_going``
-        off, the first failure stops dispatch; experiments never started
-        are reported with status ``"aborted"``.
+        *on_outcome* is invoked as each experiment finalizes, in
+        completion order.  With ``keep_going`` off, the first failure
+        stops dispatch; experiments never started are reported with status
+        ``"aborted"``.
         """
         outcomes: dict[str, ExperimentOutcome] = {}
         emit = on_outcome or (lambda outcome: None)
 
-        pending: list[str] = []
+        def finish(outcome: ExperimentOutcome) -> None:
+            outcomes[outcome.exp_id] = outcome
+            emit(outcome)
+
+        backlog = Backlog()
         for exp_id in self.ids:
             restored = self._restore(exp_id)
             if restored is not None:
-                outcomes[exp_id] = restored
-                emit(restored)
+                finish(restored)
             else:
-                pending.append(exp_id)
-
-        if self.config.jobs == 1:
-            for exp_id in pending:
-                if not self.config.keep_going and any(
-                    not o.ok for o in outcomes.values()
-                ):
-                    outcomes[exp_id] = ExperimentOutcome(exp_id, "aborted")
-                    self._journal({"event": "aborted", "id": exp_id})
-                    emit(outcomes[exp_id])
-                    continue
-                outcomes[exp_id] = self._supervise(exp_id)
-                emit(outcomes[exp_id])
-        elif pending:
-            with ThreadPoolExecutor(
-                max_workers=min(self.config.jobs, len(pending)),
-                thread_name_prefix="repro-runner",
-            ) as pool:
-                futures = {pool.submit(self._supervise, i): i for i in pending}
-                not_done = set(futures)
-                while not_done:
-                    done, not_done = futures_wait(
-                        not_done, return_when=FIRST_COMPLETED
-                    )
-                    for future in done:
-                        exp_id = futures[future]
-                        if future.cancelled():
-                            outcomes[exp_id] = ExperimentOutcome(exp_id, "aborted")
-                            self._journal({"event": "aborted", "id": exp_id})
-                        else:
-                            outcomes[exp_id] = future.result()
-                        emit(outcomes[exp_id])
-                        if not outcomes[exp_id].ok and not self.config.keep_going:
-                            for pending_future in not_done:
-                                pending_future.cancel()
+                backlog.push(_Pending(exp_id))
+        if backlog:
+            self._supervise(backlog, outcomes, finish)
 
         if self.run_dir is not None:
             failures = [o for o in outcomes.values() if not o.ok]
@@ -629,6 +424,53 @@ class Runner:
                 failures_path.unlink(missing_ok=True)
         self._export_telemetry()
         return [outcomes[i] for i in self.ids if i in outcomes]
+
+    def _supervise(self, backlog: Backlog, outcomes: dict, finish) -> None:
+        """Run every pending experiment's attempts, ``jobs`` at a time.
+
+        Each isolated attempt gets a fresh worker process (``one_task``);
+        without isolation attempts run inline, one at a time.
+        """
+        if self.config.isolate:
+            pool = WorkerPool(
+                _run_attempt, min(self.config.jobs, len(backlog)),
+                caller="Runner", one_task=True,
+            )
+        else:
+            pool = InlinePool(_run_attempt)
+        running: dict[str, _Pending] = {}
+        with pool:
+            while backlog or running:
+                now = time.monotonic()
+                while pool.idle:
+                    exp = backlog.pop_ready(now)
+                    if exp is None:
+                        break
+                    if exp.attempts == 0 and not self.config.keep_going and any(
+                        not o.ok for o in outcomes.values()
+                    ):
+                        self._journal({"event": "aborted", "id": exp.exp_id})
+                        finish(ExperimentOutcome(exp.exp_id, "aborted"))
+                        continue
+                    exp.attempts += 1
+                    exp.attempt_started = time.perf_counter()
+                    if exp.attempts == 1:
+                        exp.started = exp.attempt_started
+                    self._journal(
+                        {"event": "attempt_start", "id": exp.exp_id,
+                         "attempt": exp.attempts}
+                    )
+                    running[exp.exp_id] = exp
+                    pool.dispatch(exp.exp_id, self._job(exp), self.config.timeout)
+                for event in pool.poll(min(_WAIT_CAP_S, backlog.wakeup(now))):
+                    exp = running.pop(event.task_id, None)
+                    if exp is None:
+                        continue  # an idle worker died; the pool replaced it
+                    outcome = self._settle(exp, event)
+                    if outcome is None:
+                        backlog.push(exp)
+                    else:
+                        finish(outcome)
 
 
 def failure_table(outcomes: list[ExperimentOutcome]) -> Table:

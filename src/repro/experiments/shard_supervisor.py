@@ -1,24 +1,17 @@
-"""Block-level supervision for sharded sweeps: the execution layer that
-keeps a ``(cell x rep-block)`` sweep alive despite crashing, hanging, or
-poisoned workers.
+"""Block-level supervision for sharded sweeps: the shard layer's policy over
+:mod:`repro.supervise`, keeping a ``(cell x rep-block)`` sweep alive
+despite crashing, hanging, or poisoned workers.
 
-The paper's protocols make progress although an adversary may disrupt a
-``(T, 1-eps)`` fraction of slots; this module ports that mindset to the
-sweep scheduler itself.  ``ShardedScheduler`` used to be a bare
-``Pool.map`` -- one SIGKILL, hang, or poison block lost the entire sweep.
-The supervisor replaces that with:
+``ShardedScheduler`` used to be a bare ``Pool.map`` -- one SIGKILL, hang,
+or poison block lost the entire sweep.  Here each block is one dispatch on
+a :class:`~repro.supervise.WorkerPool` (deadline kill, death detection and
+respawn come from the pool), and this module adds the shard policy:
 
-* **async block dispatch** -- one work item per message on a persistent
-  worker-process pool, so a failure costs one block, never the sweep;
-* **per-block deadlines** -- a hung block is killed at its wall-clock
-  budget and its worker respawned;
-* **death detection** -- a worker that dies without reporting (SIGKILL,
-  OOM) is detected via its process sentinel and the orphaned block is
-  re-dispatched onto a respawned worker;
 * **bounded retry** -- transient failures back off exponentially with
-  seeded jitter (:class:`~repro.experiments.retry.RetryPolicy`, the PR-2
-  machinery); :class:`~repro.errors.ReproError` failures are permanent by
-  contract and never retried;
+  seeded jitter (:class:`~repro.experiments.retry.RetryPolicy`); a block
+  whose worker died is re-dispatched at once; timeouts are retried only
+  with ``retry_timeouts``; :class:`~repro.errors.ReproError` failures are
+  permanent and never retried;
 * **quarantine** -- a block that exhausts its attempts is quarantined;
   with ``keep_going`` the sweep completes around it and reports a
   failure table, otherwise :class:`~repro.errors.ShardFailureError`;
@@ -44,22 +37,22 @@ audit trail in the metrics.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import logging
 import signal
 import threading
 import time
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait as connection_wait
 from pathlib import Path
 from typing import Callable, Sequence
 
 from repro import telemetry as _telemetry
-from repro.errors import ConfigurationError, ReproError, ShardFailureError
+from repro.errors import ConfigurationError, ShardFailureError
 from repro.experiments.retry import RetryPolicy
+from repro.supervise import Backlog, InlinePool, WorkerPool
 from repro.telemetry import get_telemetry
 
 __all__ = [
@@ -81,7 +74,7 @@ _log = logging.getLogger(__name__)
 BLOCK_CHECKPOINT_FORMAT = 1
 
 #: Cap on the supervision loop's wait so drain requests (SIGINT/SIGTERM)
-#: are noticed promptly even when no result or deadline is imminent.
+#: are noticed promptly even when no result or backoff is imminent.
 _WAIT_CAP_S = 0.5
 
 
@@ -105,9 +98,6 @@ class ShardContext:
     block_timeout: float | None = None
     checkpoint_dir: str | None = None
     fault_plan: object | None = None  # experiments.faults.FaultPlan
-    #: Use a thread-safe start method for shard workers (needed when cells
-    #: are dispatched from runner threads rather than the main thread).
-    threadsafe: bool = False
 
 
 _INERT_CONTEXT = ShardContext()
@@ -315,6 +305,12 @@ def _results_checksum(results_jsonable) -> str:
 
 # -- supervision configuration ---------------------------------------------
 
+#: A running block is a straggler once it has run this many times the
+#: median completed-block time ...
+STRAGGLER_FACTOR = 4.0
+#: ... and only once this many blocks have completed to take a median of.
+STRAGGLER_MIN_DONE = 3
+
 
 @dataclass(frozen=True, slots=True)
 class SupervisionConfig:
@@ -325,10 +321,7 @@ class SupervisionConfig:
     block_timeout: float | None = None
     keep_going: bool = False
     speculate: bool = True
-    straggler_factor: float = 4.0
-    straggler_min_done: int = 3
     fault_plan: object | None = None  # experiments.faults.FaultPlan
-    threadsafe: bool = False
 
     def __post_init__(self):
         if self.jobs < 1:
@@ -337,129 +330,29 @@ class SupervisionConfig:
             raise ConfigurationError(
                 f"block_timeout must be > 0, got {self.block_timeout}"
             )
-        if self.straggler_factor <= 1.0:
-            raise ConfigurationError(
-                f"straggler_factor must be > 1, got {self.straggler_factor}"
-            )
 
 
-# -- worker process body ----------------------------------------------------
+def _run_block(worker_fn, fault_plan, in_process: bool, job):
+    """Pool task: one execution ``(task_id, execution, item)`` of a block.
 
-
-def _block_worker_main(conn, worker_fn, fault_plan) -> None:
-    """Child-process loop: receive ``(task_id, execution, item)``, run, reply.
-
-    Module-level (picklable by reference) so it works under fork,
-    forkserver and spawn alike.  Exceptions are serialized rather than
-    raised so the parent decides retryability; only a hard kill (or an
-    injected ``kill@block`` fault) leaves the pipe silent, which the
-    parent detects via the process sentinel.
+    Fires the fault plan's block faults around *worker_fn*.  In process
+    (the ``jobs=1`` path) the block runs under a null telemetry sink: its
+    shard is merged only when the block completes, as for a worker.
     """
-    # A worker respawned while the supervisor's drain handlers are active
-    # inherits them under fork; reset so terminate() actually terminates
-    # (SIGTERM) and a terminal Ctrl+C (delivered to the whole foreground
-    # group) lets the parent drain while this worker finishes (SIGINT).
+    task_id, execution, item = job
+    previous = _telemetry.install(_telemetry.NULL_TELEMETRY) if in_process else None
     try:
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except (OSError, ValueError):
-        pass
-    try:
-        while True:
-            try:
-                msg = conn.recv()
-            except (EOFError, OSError):
-                break
-            if msg is None:
-                break
-            task_id, execution, item = msg
-            try:
-                if fault_plan is not None:
-                    fault_plan.fire_block(task_id, execution)
-                payload = worker_fn(item)
-                if fault_plan is not None and fault_plan.should_corrupt_block(
-                    task_id, execution
-                ):
-                    payload = fault_plan.corrupt_block_payload(payload)
-                conn.send(("ok", task_id, execution, payload))
-            except BaseException as exc:  # noqa: BLE001 -- ship everything home
-                try:
-                    conn.send(
-                        (
-                            "error",
-                            task_id,
-                            execution,
-                            {
-                                "type": type(exc).__name__,
-                                "message": str(exc),
-                                "permanent": isinstance(exc, ReproError),
-                            },
-                        )
-                    )
-                except (OSError, ValueError):
-                    break
+        if fault_plan is not None:
+            fault_plan.fire_block(task_id, execution, in_process=in_process)
+        payload = worker_fn(item)
+        if fault_plan is not None and fault_plan.should_corrupt_block(
+            task_id, execution
+        ):
+            payload = fault_plan.corrupt_block_payload(payload)
+        return payload
     finally:
-        conn.close()
-
-
-class _Worker:
-    """One supervised worker process and its duplex command pipe."""
-
-    __slots__ = ("proc", "conn", "task_id", "execution", "started", "deadline")
-
-    def __init__(self, ctx, worker_fn, fault_plan, number: int):
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-        self.proc = ctx.Process(
-            target=_block_worker_main,
-            args=(child_conn, worker_fn, fault_plan),
-            name=f"repro-shard-worker-{number}",
-            daemon=True,
-        )
-        self.proc.start()
-        child_conn.close()  # parent holds only its own end
-        self.conn = parent_conn
-        self.task_id: int | None = None
-        self.execution = 0
-        self.started = 0.0
-        self.deadline: float | None = None
-
-    @property
-    def busy(self) -> bool:
-        return self.task_id is not None
-
-    def dispatch(self, task_id: int, execution: int, item, timeout) -> None:
-        self.task_id = task_id
-        self.execution = execution
-        self.started = time.monotonic()
-        self.deadline = None if timeout is None else self.started + timeout
-        self.conn.send((task_id, execution, item))
-
-    def release(self) -> None:
-        self.task_id = None
-        self.deadline = None
-
-    def stop(self) -> None:
-        """Ask the worker to exit cleanly (idle workers only)."""
-        try:
-            self.conn.send(None)
-        except (OSError, ValueError):
-            pass
-        self.proc.join(2)
-        if self.proc.is_alive():
-            self.kill()
-        self.conn.close()
-
-    def kill(self) -> None:
-        """Terminate-then-kill; never waits on a wedged worker forever."""
-        self.proc.terminate()
-        self.proc.join(2)
-        if self.proc.is_alive():
-            self.proc.kill()
-            self.proc.join(2)
-        try:
-            self.conn.close()
-        except OSError:
-            pass
+        if in_process:
+            _telemetry.install(previous)
 
 
 # -- task state -------------------------------------------------------------
@@ -483,18 +376,17 @@ class _Task:
     not_before: float = 0.0
     payload: object = None
     speculated: bool = False
-    last_failure: tuple[str, str] | None = None  # (kind, message)
 
 
 class BlockSupervisor:
     """Drive a list of block tasks to completion under supervision.
 
-    One-shot: construct, :meth:`run`, discard.  The pooled path spawns its
-    own worker processes (it does not reuse a ``multiprocessing.Pool`` --
-    per-task kill/respawn needs process identity, which ``Pool`` hides);
-    ``jobs=1`` runs blocks inline with the same retry/quarantine/
-    checkpoint semantics (timeouts, kills and speculation need real
-    workers and are unavailable inline).
+    One-shot: construct, :meth:`run`, discard.  With ``jobs > 1`` blocks
+    run on a :class:`~repro.supervise.WorkerPool` spawned per run;
+    ``jobs=1`` runs them inline through :class:`~repro.supervise
+    .InlinePool` with the same retry/quarantine/checkpoint semantics
+    (timeouts, kills and speculation need real workers and are
+    unavailable inline).
     """
 
     def __init__(
@@ -510,10 +402,7 @@ class BlockSupervisor:
         self._drain = False
         self._abort = False
         self._checkpointing = checkpoint is not None
-        self._workers: list[_Worker] = []
-        self._worker_seq = 0
-        self._ctx = None
-        self._queue: deque | None = None
+        self._backlog = Backlog()
         self._done_elapsed: list[float] = []
 
     # -- shared helpers ----------------------------------------------------
@@ -586,7 +475,6 @@ class BlockSupervisor:
         if task.status == _DONE:
             return  # a speculative copy failed after the block completed
         task.failures += 1
-        task.last_failure = (kind, message)
         if redispatch:
             self.report.redispatches += 1
             self._tel().counter("shard_redispatch_total").inc()
@@ -617,8 +505,7 @@ class BlockSupervisor:
         task.not_before = now + delay
         self.report.retries += 1
         self._tel().counter("shard_retries_total", kind=kind).inc()
-        if self._queue is not None and task not in self._queue:
-            self._queue.append(task)
+        self._backlog.push(task)
 
     # -- public entry ------------------------------------------------------
 
@@ -652,10 +539,7 @@ class BlockSupervisor:
 
         pending = [t for t in tasks if t.status == _PENDING]
         if pending:
-            if self.config.jobs == 1:
-                self._run_inline(pending)
-            else:
-                self._run_pooled(tasks, pending)
+            self._supervise(tasks, pending)
 
         if self.report.interrupted:
             done = self.report.completed + self.report.restored
@@ -679,268 +563,119 @@ class BlockSupervisor:
             )
         return [t.payload for t in tasks], self.report
 
-    # -- inline (jobs=1) path ----------------------------------------------
+    # -- supervision loop ---------------------------------------------------
 
-    def _run_inline(self, pending: list[_Task]) -> None:
-        """Sequential execution with the same retry/quarantine semantics.
-
-        Each execution runs under a private telemetry sink (merged into
-        the surrounding live sink only on success), so retried failures
-        never double-count and the merge discipline matches the pooled
-        path exactly.
-        """
-        plan = self.config.fault_plan
-        for task in pending:
-            while task.status == _PENDING:
-                task.attempts += 1
-                execution = task.attempts
-                previous = _telemetry.install(_telemetry.NULL_TELEMETRY)
-                try:
-                    if plan is not None:
-                        plan.fire_block(task.task_id, execution, in_process=True)
-                    payload = self.worker_fn(task.item)
-                    if plan is not None and plan.should_corrupt_block(
-                        task.task_id, execution
-                    ):
-                        payload = plan.corrupt_block_payload(payload)
-                except KeyboardInterrupt:
-                    self.report.interrupted = True
-                    _telemetry.install(previous)
-                    return
-                except Exception as exc:  # noqa: BLE001 -- mirrors the worker
-                    _telemetry.install(previous)
-                    self._failed(
-                        task,
-                        "error",
-                        f"{type(exc).__name__}: {exc}",
-                        isinstance(exc, ReproError),
-                        time.monotonic(),
-                    )
-                    if task.status == _PENDING:
-                        time.sleep(max(0.0, task.not_before - time.monotonic()))
-                else:
-                    _telemetry.install(previous)
-                    self._complete(task, payload, speculative_win=False)
-
-    # -- pooled path --------------------------------------------------------
-
-    def _spawn_worker(self, ctx) -> _Worker:
-        self._worker_seq += 1
-        return _Worker(
-            ctx, self.worker_fn, self.config.fault_plan, self._worker_seq
+    def _supervise(self, tasks: list[_Task], pending: list[_Task]) -> None:
+        inline = self.config.jobs == 1
+        task_fn = functools.partial(
+            _run_block, self.worker_fn, self.config.fault_plan, inline
         )
-
-    def _run_pooled(self, tasks: list[_Task], pending: list[_Task]) -> None:
-        from repro.experiments.parallel import _check_picklable_fn, subprocess_context
-
-        _check_picklable_fn(self.worker_fn)
-        self._ctx = subprocess_context(self.config.threadsafe)
-        queue = deque(sorted(pending, key=lambda t: t.task_id))
-        self._queue = queue
-        jobs = min(self.config.jobs, len(queue))
-        self._workers = [self._spawn_worker(self._ctx) for _ in range(jobs)]
-        handlers = self._install_signal_handlers()
+        self._backlog = Backlog(pending)
+        if inline:
+            pool, handlers = InlinePool(task_fn), None
+        else:
+            pool = WorkerPool(
+                task_fn, min(self.config.jobs, len(pending)),
+                caller="ShardedScheduler.run",
+            )
+            handlers = self._install_signal_handlers()
         try:
-            self._supervise_loop(tasks, queue)
+            self._loop(tasks, pool)
+        except KeyboardInterrupt:  # inline: no drain handlers, stop at once
+            self.report.interrupted = self._abort = True
         finally:
             self._restore_signal_handlers(handlers)
-            for worker in self._workers:
-                if worker.busy or self._abort:
-                    worker.kill()
-                else:
-                    worker.stop()
-            self._workers = []
+            pool.close(kill=self._abort)
 
-    def _supervise_loop(self, tasks: list[_Task], queue: deque) -> None:
-        while True:
+    def _loop(self, tasks: list[_Task], pool) -> None:
+        # A block is pending exactly while it sits in the backlog, and each
+        # dispatched execution is running until its one event arrives.
+        while not self._abort:
+            in_flight = len(pool.running())
+            if not self._backlog and not in_flight:
+                return
+            if self._drain and not in_flight:
+                break
             now = time.monotonic()
-            if self._abort:
-                self.report.interrupted = True
-                return
-            unfinished = [t for t in tasks if t.status in (_PENDING, _RUNNING)]
-            if not unfinished:
-                return
-            if self._drain and not any(t.status == _RUNNING for t in tasks):
-                self.report.interrupted = True
-                return
-            self._dispatch_ready(tasks, queue, now)
-            timeout = self._wait_timeout(queue, now)
-            busy = [w for w in self._workers if w.busy]
-            channels = [w.conn for w in busy] + [w.proc.sentinel for w in busy]
-            if not channels:
-                if self._drain:
-                    self.report.interrupted = True
-                    return
-                # Nothing in flight: every remaining task is backing off.
-                time.sleep(max(0.0, min(timeout, _WAIT_CAP_S)))
-                continue
-            ready = connection_wait(channels, timeout)
-            now = time.monotonic()
-            for worker in list(busy):
-                if worker.conn in ready:
-                    self._handle_message(tasks, worker, now)
-                elif worker.proc.sentinel in ready:
-                    self._handle_death(tasks, worker, now)
-            self._handle_deadlines(tasks, now)
+            if not self._drain:
+                self._dispatch_ready(tasks, pool, now)
+            # Busy workers end the wait with their events; only idle ones
+            # wait for a backoff to run out.
+            wait = _WAIT_CAP_S
+            if pool.idle:
+                wait = min(wait, self._backlog.wakeup(now))
+            for event in pool.poll(wait):
+                self._handle(tasks, event, time.monotonic())
+        self.report.interrupted = True
 
-    def _dispatch_ready(self, tasks: list[_Task], queue: deque, now: float) -> None:
-        if self._drain:
-            return
-        for worker in [w for w in self._workers if not w.busy]:
-            task = self._next_ready(queue, now)
+    def _dispatch_ready(self, tasks: list[_Task], pool, now: float) -> None:
+        while pool.idle:
+            task = self._backlog.pop_ready(now)
             if task is None:
                 break
-            self._dispatch_to(worker, task)
-        # Any still-idle workers may speculate on stragglers.
-        if not self.config.speculate:
+            self._dispatch(pool, task)
+        # Any still-idle workers may speculate on stragglers, once no real
+        # work is queued or backing off.
+        if not self.config.speculate or self._backlog:
             return
-        if any(t.status == _PENDING for t in tasks):
-            return  # real work still queued or backing off: no duplicates
-        for worker in [w for w in self._workers if not w.busy]:
-            task = self._straggler_candidate(tasks, now)
+        while pool.idle:
+            task = self._straggler_candidate(tasks, pool)
             if task is None:
                 return
             task.speculated = True
             self.report.speculative_launches += 1
-            self._dispatch_to(worker, task)
+            self._dispatch(pool, task)
 
-    def _dispatch_to(self, worker: _Worker, task: _Task) -> bool:
-        """Send one execution to *worker*, replacing it if the pipe is dead."""
+    def _dispatch(self, pool, task: _Task) -> None:
         task.status = _RUNNING
         task.attempts += 1
         task.running += 1
-        try:
-            worker.dispatch(
-                task.task_id, task.attempts, task.item, self.config.block_timeout
-            )
-            return True
-        except (OSError, ValueError):
-            # The worker died while idle; undo the accounting, swap it out.
-            task.attempts -= 1
-            task.running -= 1
-            if task.running == 0:
-                task.status = _PENDING
-                if self._queue is not None and task not in self._queue:
-                    self._queue.append(task)
-            worker.kill()
-            self._workers.remove(worker)
-            self._workers.append(self._spawn_worker(self._ctx))
-            return False
-
-    def _next_ready(self, queue: deque, now: float):
-        """Pop the first pending task whose backoff has elapsed (FIFO)."""
-        for _ in range(len(queue)):
-            task = queue.popleft()
-            if task.status != _PENDING:
-                continue  # completed by a speculative duplicate meanwhile
-            if task.not_before <= now:
-                return task
-            queue.append(task)  # still backing off; rotate
-        return None
-
-    def _straggler_candidate(self, tasks: list[_Task], now: float):
-        """The longest-running non-duplicated block, if it qualifies."""
-        done_elapsed = self._done_elapsed
-        if len(done_elapsed) < self.config.straggler_min_done:
-            return None
-        sorted_elapsed = sorted(done_elapsed)
-        median = sorted_elapsed[len(sorted_elapsed) // 2]
-        threshold = max(self.config.straggler_factor * median, 0.05)
-        candidates = [
-            (now - w.started, w.task_id)
-            for w in self._workers
-            if w.busy and tasks[w.task_id].status == _RUNNING
-            and not tasks[w.task_id].speculated
-            and tasks[w.task_id].running == 1
-            and now - w.started > threshold
-        ]
-        if not candidates:
-            return None
-        candidates.sort(reverse=True)
-        return tasks[candidates[0][1]]
-
-    def _wait_timeout(self, queue: deque, now: float) -> float | None:
-        bounds = [_WAIT_CAP_S]
-        for worker in self._workers:
-            if worker.busy and worker.deadline is not None:
-                bounds.append(max(0.0, worker.deadline - now))
-        for task in queue:
-            if task.status == _PENDING and task.not_before > now:
-                bounds.append(task.not_before - now)
-        return min(bounds)
-
-    def _record_done_elapsed(self, elapsed: float) -> None:
-        self._done_elapsed.append(elapsed)
-
-    def _handle_message(self, tasks: list[_Task], worker: _Worker, now: float) -> None:
-        try:
-            msg = worker.conn.recv()
-        except (EOFError, OSError):
-            self._handle_death(tasks, worker, now)
-            return
-        status, task_id, execution, payload = msg
-        task = tasks[task_id]
-        task.running -= 1
-        elapsed = now - worker.started
-        worker.release()
-        if status == "ok":
-            if task.status == _DONE:
-                self._verify_duplicate(task, payload)
-                return
-            self._record_done_elapsed(elapsed)
-            win = task.speculated and execution == task.attempts
-            self._complete(task, payload, speculative_win=win)
-        else:
-            self._failed(
-                task,
-                "error",
-                f"{payload['type']}: {payload['message']}",
-                payload["permanent"],
-                now,
-            )
-
-    def _handle_death(self, tasks: list[_Task], worker: _Worker, now: float) -> None:
-        """A worker died without reporting: respawn it, re-dispatch the block."""
-        task = tasks[worker.task_id]
-        task.running -= 1
-        worker.kill()
-        exitcode = worker.proc.exitcode
-        self._workers.remove(worker)
-        self._workers.append(self._spawn_worker(self._ctx))
-        self._failed(
-            task,
-            "crash",
-            (
-                f"worker died without a result while running block "
-                f"(spec {task.spec_index}, block {task.block_index}); "
-                f"exit code {exitcode}"
-            ),
-            False,
-            now,
-            redispatch=True,
+        pool.dispatch(
+            (task.task_id, task.attempts),
+            (task.task_id, task.attempts, task.item),
+            self.config.block_timeout,
         )
 
-    def _handle_deadlines(self, tasks: list[_Task], now: float) -> None:
-        for worker in list(self._workers):
-            if not worker.busy or worker.deadline is None or now < worker.deadline:
-                continue
-            task = tasks[worker.task_id]
-            task.running -= 1
-            worker.kill()
-            self._workers.remove(worker)
-            self._workers.append(self._spawn_worker(self._ctx))
+    def _straggler_candidate(self, tasks: list[_Task], pool):
+        """The longest-running non-duplicated block, if it qualifies."""
+        if len(self._done_elapsed) < STRAGGLER_MIN_DONE:
+            return None
+        sorted_elapsed = sorted(self._done_elapsed)
+        median = sorted_elapsed[len(sorted_elapsed) // 2]
+        threshold = max(STRAGGLER_FACTOR * median, 0.05)
+        candidates = [
+            (age, task_id)
+            for (task_id, _execution), age in pool.running().items()
+            if age > threshold and tasks[task_id].status == _RUNNING
+            and not tasks[task_id].speculated and tasks[task_id].running == 1
+        ]
+        return tasks[max(candidates)[1]] if candidates else None
+
+    def _handle(self, tasks: list[_Task], event, now: float) -> None:
+        """Apply one pool event to its block."""
+        if event.task_id is None:
+            return  # an idle worker died; the pool replaced it
+        task_id, execution = event.task_id
+        task = tasks[task_id]
+        task.running -= 1
+        if event.kind == "ok":
             if task.status == _DONE:
-                continue  # a duplicate already won; the kill just freed a slot
+                self._verify_duplicate(task, event.value)
+                return
+            self._done_elapsed.append(event.elapsed)
+            win = task.speculated and execution == task.attempts
+            self._complete(task, event.value, speculative_win=win)
+        elif event.kind == "error":
+            self._failed(task, "error", event.message, event.permanent, now)
+        else:  # died or timeout: the worker is gone, say which block it ran
+            message = (
+                f"block (spec {task.spec_index}, block {task.block_index}): "
+                f"{event.message}"
+            )
+            crash = event.kind == "died"
             self._failed(
-                task,
-                "timeout",
-                (
-                    f"block (spec {task.spec_index}, block {task.block_index}) "
-                    f"exceeded {self.config.block_timeout:.1f}s and its worker "
-                    "was killed"
-                ),
-                False,
-                now,
+                task, "crash" if crash else "timeout", message, False, now,
+                redispatch=crash,
             )
 
     # -- signal handling ----------------------------------------------------

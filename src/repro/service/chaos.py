@@ -14,9 +14,10 @@ replays bit-for-bit regardless of which worker draws which job.
 
 What each atom proves:
 
-* ``worker:kill`` -- the supervisor notices the sentinel, requeues the
-  run, respawns the worker; the retry must complete and the recovered
-  table must be byte-identical (shard checkpoints make this resumable).
+* ``worker:kill`` -- the worker pool notices the sentinel and respawns
+  the worker, the service requeues the run; the retry must complete and
+  the recovered table must be byte-identical (shard checkpoints make
+  this resumable).
 * ``worker:hang`` -- heartbeats keep flowing (the beat thread survives a
   hung main thread), so this specifically exercises the per-run
   wall-clock deadline's terminate-then-kill path.

@@ -20,9 +20,8 @@ with bounded seeded backoff, honoring the server's ``Retry-After``
 hint, before giving up.
 
 ``serve`` runs the long-lived job daemon: bounded queue, a supervised
-worker-process fleet (per-run deadlines, heartbeats, crash requeue,
-quarantine -- ``--worker-mode thread`` restores the PR 8 in-process
-path), a sqlite ledger reconciled on boot (crash recovery, even from
+worker-process pool (per-run deadlines, heartbeats, crash requeue,
+quarantine), a sqlite ledger reconciled on boot (crash recovery, even from
 SIGKILL), HTTP API, and a SIGTERM handler that drains the queue before
 exiting.  ``--inject-faults`` arms the service chaos layer
 (``worker:kill@SEQ``, ``worker:hang@SEQ``, ``store:tamper@SEQ``,
@@ -359,13 +358,8 @@ def serve_main(argv: list[str] | None = None) -> int:
         "--queue-limit", type=int, default=16, help="max pending runs (backpressure)"
     )
     parser.add_argument(
-        "--worker-mode", choices=("process", "thread"), default="process",
-        help="run executor substrate: supervised worker processes "
-        "(default) or the legacy in-process threads",
-    )
-    parser.add_argument(
         "--run-timeout", type=float, default=None,
-        help="per-run wall-clock deadline in seconds (process mode); a run "
+        help="per-run wall-clock deadline in seconds; a run "
         "past it is killed, requeued with backoff, then quarantined",
     )
     parser.add_argument(
@@ -401,7 +395,6 @@ def serve_main(argv: list[str] | None = None) -> int:
         jobs_per_run=args.jobs,
         queue_limit=args.queue_limit,
         workers=args.workers,
-        worker_mode=args.worker_mode,
         run_timeout=args.run_timeout,
         degraded_after=args.degraded_after,
         fault_spec=args.inject_faults,

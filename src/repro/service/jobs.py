@@ -3,21 +3,23 @@
 :class:`JobService` owns a :class:`~repro.service.store.RunStore` and a
 bounded pending set of run ids.  Submissions register the scenario in
 the store (idempotent by content digest) and enqueue it; a dispatcher
-thread hands runs to a supervised :class:`~repro.service.supervisor
-.WorkerFleet` of child *processes* (the default since PR 9 -- a hung or
-crashed run can no longer wedge the daemon), each executing through
-:meth:`RunStore.execute` -- i.e. the supervised sharded scheduler with
-block checkpoints, so a run killed mid-flight resumes where it left off.
+thread hands runs to a :class:`repro.supervise.WorkerPool` of child
+*processes* (a hung or crashed run cannot wedge the daemon), each
+executing through :meth:`RunStore.execute` -- i.e. the supervised sharded
+scheduler with block checkpoints, so a run killed mid-flight resumes
+where it left off.
 
-Robustness semantics (the PR 7 supervision idiom, one level up):
+Robustness semantics (the service's policy over the pool's events):
 
-* **worker death** (SIGKILL, OOM, crash): detected via the process
-  sentinel; the worker is respawned and the orphaned run requeued
-  immediately (its shard checkpoints make the retry a cheap resume);
-* **run deadline** (``run_timeout``): a run past its wall-clock budget
-  has its worker terminate-then-killed and is requeued with backoff;
-* **heartbeat stall**: a busy worker that stops beating is presumed
-  wedged, killed, and its run requeued;
+* **worker death** (SIGKILL, OOM, crash): the pool respawns the worker;
+  the orphaned run is requeued immediately (its shard checkpoints make
+  the retry a cheap resume);
+* **run deadline** (``run_timeout``): the pool terminate-then-kills a
+  worker past its run's wall-clock budget; the run is requeued with
+  backoff;
+* **heartbeat stall**: busy workers beat every ``heartbeat_interval``; a
+  worker whose beats go stale is presumed wedged, killed, and its run
+  requeued;
 * **bounded seeded retry**: each run gets at most ``retry.max_attempts``
   dispatches; transient failures back off deterministically
   (:class:`~repro.experiments.retry.RetryPolicy`), :class:`ReproError`
@@ -43,10 +45,6 @@ Durability and backpressure:
   workers; their runs stay ``running`` in the store for the next
   rescan).
 
-``worker_mode="thread"`` preserves the PR 8 in-process worker threads
-(no process isolation, no deadlines -- but zero spawn overhead), which
-doubles as the overhead baseline for the supervised path.
-
 Telemetry: ``service_queue_depth`` / ``service_degraded`` gauges,
 ``service_submissions_total{outcome=}`` / ``service_jobs_total{state=}``
 / ``service_worker_deaths_total{cause=}`` / ``service_run_retries_total``
@@ -56,18 +54,17 @@ Telemetry: ``service_queue_depth`` / ``service_degraded`` gauges,
 
 from __future__ import annotations
 
-import queue
 import threading
 import time
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro import telemetry
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments.retry import RetryPolicy
+from repro.service.chaos import ServiceFaultPlan, tamper_stored_table
 from repro.service.scenario import Scenario
 from repro.service.store import RunStore
-from repro.service.supervisor import DEFAULT_HEARTBEAT_INTERVAL_S, WorkerFleet
+from repro.supervise import Backlog, WorkerPool
 
 __all__ = [
     "BackpressureError",
@@ -83,7 +80,8 @@ DEFAULT_QUEUE_LIMIT = 64
 #: stalls) before the service stops accepting submissions.
 DEFAULT_DEGRADED_AFTER = 3
 
-_STOP = None  # thread-mode queue sentinel
+#: How often a busy worker's beat thread pings the dispatcher.
+DEFAULT_HEARTBEAT_INTERVAL_S = 1.0
 
 #: How long one dispatcher supervision wait lasts.
 _POLL_S = 0.2
@@ -96,6 +94,10 @@ def _default_retry() -> RetryPolicy:
     return RetryPolicy(
         max_attempts=3, backoff_base=0.1, backoff_cap=5.0, retry_timeouts=True
     )
+
+
+#: Pool event kind -> ``service_worker_deaths_total`` cause of a busy worker.
+_DEATH_CAUSES = {"died": "busy", "timeout": "timeout", "stalled": "stalled"}
 
 
 class BackpressureError(ReproError):
@@ -115,7 +117,35 @@ class _JobState:
     enqueued_at: float
     attempts: int = 0
     not_before: float = 0.0
-    in_flight: bool = field(default=False)
+
+
+class _ExecuteRun:
+    """The service's pool task: execute one run inside a worker process.
+
+    Plain picklable data; each worker builds its own store handle and
+    fault plan on first use.  The job is ``(job_seq, run_id, jobs)``:
+    chaos faults fire by *job_seq*, the service-wide dispatch number, so
+    an injected kill/hang schedule replays deterministically whichever
+    worker draws which job.
+    """
+
+    def __init__(self, store_root: str, fault_spec: str):
+        self.store_root = store_root
+        self.fault_spec = fault_spec
+        self._store = self._plan = None
+
+    def __call__(self, job) -> str:
+        job_seq, run_id, jobs = job
+        if self._store is None:
+            self._store = RunStore(self.store_root)
+            self._plan = ServiceFaultPlan.from_spec(self.fault_spec)
+        self._plan.fire_worker(job_seq)  # kill/hang fire here, pre-execution
+        record = self._store.get(run_id)
+        with self._plan.disk_pressure(job_seq):
+            state = self._store.execute(record, jobs=jobs)
+        if state == "done" and self._plan.should_tamper(job_seq):
+            tamper_stored_table(record.root)
+        return state
 
 
 class JobService:
@@ -127,7 +157,6 @@ class JobService:
         jobs_per_run: int = 1,
         queue_limit: int = DEFAULT_QUEUE_LIMIT,
         workers: int = 1,
-        worker_mode: str = "process",
         run_timeout: float | None = None,
         retry: RetryPolicy | None = None,
         degraded_after: int = DEFAULT_DEGRADED_AFTER,
@@ -144,15 +173,6 @@ class JobService:
             raise ConfigurationError(
                 f"jobs_per_run must be >= 1, got {jobs_per_run}"
             )
-        if worker_mode not in ("process", "thread"):
-            raise ConfigurationError(
-                f"worker_mode must be 'process' or 'thread', got {worker_mode!r}"
-            )
-        if worker_mode == "thread" and fault_spec:
-            raise ConfigurationError(
-                "--inject-faults needs worker processes; thread-mode workers "
-                "cannot survive a worker:kill (use --worker-mode process)"
-            )
         if degraded_after < 1:
             raise ConfigurationError(
                 f"degraded_after must be >= 1, got {degraded_after}"
@@ -160,7 +180,6 @@ class JobService:
         self.store = store
         self.jobs_per_run = jobs_per_run
         self.queue_limit = queue_limit
-        self.worker_mode = worker_mode
         self.run_timeout = run_timeout
         self.retry = retry if retry is not None else _default_retry()
         self.degraded_after = degraded_after
@@ -171,28 +190,15 @@ class JobService:
         self._cancel_requested: set[str] = set()
         self._stopping = threading.Event()
         self._drain = True
-        self._cancel_all = threading.Event()
         self._started = False
         self._degraded = False
         self._failure_streak = 0
-        # process mode
-        self._pending: deque[_JobState] = deque()
+        self._pending = Backlog()
         self._in_flight: dict[str, _JobState] = {}
-        self._fleet: WorkerFleet | None = None
+        self._next_seq = 1  # service-wide dispatch number chaos plans key on
+        self._fleet: WorkerPool | None = None
         self._dispatcher: threading.Thread | None = None
         self.num_workers = workers
-        # thread mode
-        self._queue: queue.Queue = queue.Queue(maxsize=queue_limit)
-        self._threads = (
-            [
-                threading.Thread(
-                    target=self._worker, name=f"repro-job-{i}", daemon=True
-                )
-                for i in range(workers)
-            ]
-            if worker_mode == "thread"
-            else []
-        )
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -211,19 +217,15 @@ class JobService:
         except Exception:  # ledger is an index; never block startup on it
             pass
         self.rescan()
-        if self.worker_mode == "thread":
-            for worker in self._threads:
-                worker.start()
-            return
-        self._fleet = WorkerFleet(
-            self.store.root,
+        # Stale = many missed beats; generous so a fork storm under load
+        # (a run spawning its shard workers) is never misread as a wedge.
+        self._fleet = WorkerPool(
+            _ExecuteRun(str(self.store.root), self.fault_spec),
             self.num_workers,
-            jobs_per_run=self.jobs_per_run,
-            run_timeout=self.run_timeout,
-            heartbeat_interval=self.heartbeat_interval,
-            fault_spec=self.fault_spec,
+            caller="JobService",
+            heartbeat=self.heartbeat_interval,
+            stall_after=max(15.0, 10.0 * self.heartbeat_interval),
         )
-        self._fleet.start()
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name="repro-dispatch", daemon=True
         )
@@ -239,19 +241,10 @@ class JobService:
         """
         self._drain = drain
         self._stopping.set()
-        if not drain:
-            self._cancel_all.set()
-        if self.worker_mode == "thread":
-            for _ in self._threads:
-                self._queue.put(_STOP)
-            for worker in self._threads:
-                if worker.is_alive():
-                    worker.join(timeout=timeout)
-            return
         if self._dispatcher is not None:
             self._dispatcher.join(timeout=timeout)
         if self._fleet is not None:
-            self._fleet.shutdown(kill=not drain)
+            self._fleet.close(kill=not drain)
             self._fleet = None
 
     def rescan(self) -> list[str]:
@@ -320,17 +313,9 @@ class JobService:
         with self._lock:
             if run_id in self._enqueued:
                 return "coalesced"  # already pending or in flight
-            if self.worker_mode == "thread":
-                try:
-                    self._queue.put_nowait((run_id, time.monotonic()))
-                except queue.Full:
-                    return ""
-            else:
-                if len(self._enqueued) >= self.queue_limit:
-                    return ""
-                self._pending.append(
-                    _JobState(run_id=run_id, enqueued_at=time.monotonic())
-                )
+            if len(self._enqueued) >= self.queue_limit:
+                return ""
+            self._pending.push(_JobState(run_id=run_id, enqueued_at=time.monotonic()))
             self._enqueued.add(run_id)
             self._gauge_depth()
             return "added"
@@ -350,15 +335,13 @@ class JobService:
         return {"run_id": record.run_id, "state": "cancelling"}
 
     def _should_cancel(self, run_id: str) -> bool:
-        if self._cancel_all.is_set():
-            return True
         with self._lock:
             return run_id in self._cancel_requested
 
-    # -- process-mode dispatcher -------------------------------------------
+    # -- dispatcher --------------------------------------------------------
 
     def _dispatch_loop(self) -> None:
-        """Own the fleet: dispatch ready runs, supervise, retry, quarantine."""
+        """Own the pool: dispatch ready runs, supervise, retry, quarantine."""
         fleet = self._fleet
         while True:
             if self._stopping.is_set() and not self._drain:
@@ -372,17 +355,17 @@ class JobService:
             for event in fleet.poll(_POLL_S):
                 self._handle_event(event)
 
-    def _dispatch_ready(self, fleet: WorkerFleet) -> None:
+    def _dispatch_ready(self, fleet: WorkerPool) -> None:
         tel = telemetry.get_telemetry()
-        while fleet.idle_count > 0:
-            job = self._next_ready()
+        while fleet.idle:
+            with self._lock:
+                job = self._pending.pop_ready(time.monotonic())
             if job is None:
                 return
             if self._should_cancel(job.run_id):
                 self._finish_cancelled_queued(job)
                 continue
             job.attempts += 1
-            job.in_flight = True
             with self._lock:
                 self._in_flight[job.run_id] = job
             if job.attempts == 1:
@@ -393,18 +376,10 @@ class JobService:
             else:
                 tel.counter("service_run_retries_total").inc()
             self.store.record_attempt(job.run_id)
-            fleet.dispatch(job.run_id)
-
-    def _next_ready(self) -> _JobState | None:
-        """Pop the first pending job whose backoff window has elapsed."""
-        now = time.monotonic()
-        with self._lock:
-            for _ in range(len(self._pending)):
-                job = self._pending.popleft()
-                if job.not_before <= now:
-                    return job
-                self._pending.append(job)  # still backing off; rotate
-        return None
+            seq, self._next_seq = self._next_seq, self._next_seq + 1
+            fleet.dispatch(
+                job.run_id, (seq, job.run_id, self.jobs_per_run), self.run_timeout
+            )
 
     def _finish_cancelled_queued(self, job: _JobState) -> None:
         try:
@@ -419,18 +394,22 @@ class JobService:
         self._forget(job.run_id)
 
     def _handle_event(self, event) -> None:
+        if event.kind in _DEATH_CAUSES:
+            cause = "idle" if event.task_id is None else _DEATH_CAUSES[event.kind]
+            telemetry.get_telemetry().counter(
+                "service_worker_deaths_total", cause=cause
+            ).inc()
         with self._lock:
-            job = self._in_flight.pop(event.run_id, None)
+            job = self._in_flight.pop(event.task_id, None)
         if job is None:
-            return  # stale event for a run we no longer track
-        job.in_flight = False
-        if event.kind == "done":
-            self._count_job(event.state, event.elapsed)
-            if event.state == "done":
+            return  # an idle worker died, or a run we no longer track
+        if event.kind == "ok":
+            self._count_job(event.value, event.elapsed)
+            if event.value == "done":
                 self._note_success()
             self._forget(job.run_id)
             return
-        if event.kind == "failed":
+        if event.kind == "error":
             self.store.append_journal(
                 job.run_id, {"event": "worker-error", "error": event.message}
             )
@@ -474,7 +453,7 @@ class JobService:
         else:
             job.not_before = 0.0  # a worker death requeues immediately
         with self._lock:
-            self._pending.append(job)
+            self._pending.push(job)
 
     def _quarantine(self, job: _JobState, event) -> None:
         reason = (
@@ -509,50 +488,13 @@ class JobService:
     def _count_job(state: str, seconds: float | None = None) -> None:
         # Parent-side accounting: the worker process's telemetry registry
         # is a fork-copy, so its increments never reach the daemon's
-        # /metrics; the dispatcher counts terminal outcomes instead
-        # (thread mode counts inside store.execute and skips this).
+        # /metrics; the dispatcher counts terminal outcomes instead.
         tel = telemetry.get_telemetry()
         tel.counter("service_jobs_total", state=state).inc()
         if seconds is not None:
             tel.histogram(
                 "service_job_seconds", buckets=telemetry.SECONDS_BUCKETS
             ).observe(seconds)
-
-    # -- thread-mode worker loop (the PR 8 path; overhead baseline) --------
-
-    def _worker(self) -> None:
-        tel = telemetry.get_telemetry()
-        while True:
-            item = self._queue.get()
-            if item is _STOP:
-                return
-            run_id, enqueued_at = item
-            tel.histogram(
-                "service_queue_wait_seconds", buckets=telemetry.SECONDS_BUCKETS
-            ).observe(time.monotonic() - enqueued_at)
-            try:
-                if self._should_cancel(run_id):
-                    self.store.set_state(run_id, "cancelled")
-                    self.store.append_journal(
-                        run_id, {"event": "cancelled", "while": "queued"}
-                    )
-                    self.store.clear_cancel(run_id)
-                else:
-                    record = self.store.get(run_id)
-                    self.store.execute(
-                        record,
-                        jobs=self.jobs_per_run,
-                        should_cancel=lambda: self._should_cancel(run_id),
-                    )
-            except Exception as exc:  # store marked the run failed
-                self.store.append_journal(
-                    run_id,
-                    {"event": "worker-error",
-                     "error": f"{type(exc).__name__}: {exc}"},
-                )
-            finally:
-                self._forget(run_id)
-                self._queue.task_done()
 
     def _gauge_depth(self) -> None:
         telemetry.get_telemetry().gauge("service_queue_depth").set(
@@ -569,7 +511,6 @@ class JobService:
                 "in_flight": len(self._in_flight),
                 "queue_limit": self.queue_limit,
                 "workers": self.num_workers,
-                "worker_mode": self.worker_mode,
                 "jobs_per_run": self.jobs_per_run,
                 "run_timeout": self.run_timeout,
                 "degraded": self._degraded,

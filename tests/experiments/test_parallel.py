@@ -65,3 +65,17 @@ class TestValidation:
         assert replicate_parallel(lambda s: s, 4, 5, jobs=1) == replicate(
             lambda s: s, 4, 5
         )
+
+    def test_scheduler_lambda_rejected_naming_the_scheduler(self):
+        from repro.experiments.cells import CellSpec
+        from repro.experiments.harness import ShardedScheduler
+
+        spec = CellSpec(
+            kind="lesk", n=32, eps=0.5, T=8, adversary="saturating",
+            reps=8, root_seed=1, path=(0,),
+        )
+        with pytest.raises(
+            ConfigurationError, match="ShardedScheduler.run needs a picklable"
+        ):
+            with ShardedScheduler(jobs=2, block_size=4) as sched:
+                sched.run(lambda item: ([], None), [spec])
