@@ -1,30 +1,20 @@
-"""Shared experiment cells: replicated runs with engine selection.
+"""Shared experiment cells: replicated runs of one uniform protocol.
 
 The experiment tables all fill cells with "reps replications of
-protocol(n, eps, T) against a named adversary".  This module picks the
-fastest engine that can run each cell:
+protocol(n, eps, T) against a named adversary".  Every cell kind in
+:data:`CELL_KINDS` is a vector policy plus a slot-budget rule, and
+:func:`run_cell` runs any of them through one engine entry,
+:func:`repro.experiments.harness.replicate_batched`: the slot-blocked
+megakernel where the configuration allows it, the batched compaction loop
+otherwise -- bit-identical either way (both consume the packed stream), so
+no cell chooses an engine.
 
-* the slot-blocked megakernel (:mod:`repro.sim.megakernel`) when the cell
-  asks for it (``megakernel=True``, driven by the preset-level switch
-  :data:`repro.experiments.harness.MEGAKERNEL_PRESETS`): oblivious
-  (schedulable) adversaries run the fused fast path, everything else
-  delegates to the batched engine byte-identically inside the engine;
-* the batched cross-replication engine (:mod:`repro.sim.batched`) when the
-  preset-level switch (:data:`repro.experiments.harness.BATCHED_PRESETS`)
-  is on *and* the adversary has a vectorized implementation -- which since
-  the adaptive family gained :class:`~repro.adversary.vector`
-  counterparts covers the whole strategy suite;
-* the scalar fast-engine loop via :func:`repro.experiments.harness.replicate`
-  otherwise.  The fallback is never silent: it increments
-  ``engine_fallback_total{reason=...}`` and warns once per component
-  (:func:`repro.experiments.harness.record_engine_fallback`).
-
-Cell kinds: :func:`lesk_cell` (Algorithm 1), :func:`lesu_cell`
-(Algorithm 2, unknown eps/T), :func:`estimation_cell` (Function 2),
-:func:`sweep_cell` (Nakano--Olariu CD baseline) and :func:`nocd_cell`
-(no-CD repeated sweep).  All derive their seeds from ``(root_seed, *path)``
-with :func:`repro.rng.derive_seed` and return plain ``RunResult`` lists,
-so the downstream ``summarize_times`` summaries are engine-agnostic.
+Cell kinds: ``lesk`` (Algorithm 1), ``lesu`` (Algorithm 2, unknown
+eps/T), ``estimation`` (Function 2), ``sweep`` (Nakano--Olariu CD
+baseline) and ``nocd`` (no-CD repeated sweep).  All derive their seeds
+from ``(root_seed, *path)`` with :func:`repro.rng.derive_seed` and return
+plain ``RunResult`` lists, so the downstream ``summarize_times``
+summaries are engine-agnostic.
 
 For multi-cell sweeps, :class:`CellSpec` + :func:`run_cells_sharded` chunk
 ``(cell x rep-block)`` work units across a worker-process pool
@@ -39,23 +29,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
+from typing import Callable, NamedTuple
 
 from repro import telemetry
-from repro.adversary.suite import make_adversary
-from repro.adversary.vector import is_batchable, make_batched_adversary
+from repro.adversary.vector import make_batched_adversary
 from repro.core.config import default_slot_budget
-from repro.core.election import elect_leader
 from repro.errors import ConfigurationError
 from repro.experiments.harness import (
     SHARD_BLOCK_TAG,
     ShardedScheduler,
-    record_engine_fallback,
-    replicate,
     replicate_batched,
-    replicate_megakernel,
 )
-from repro.protocols.baselines.nakano_olariu import NoCDSweepPolicy, UniformSweepPolicy
-from repro.protocols.estimation import EstimationPolicy
 from repro.protocols.vector import (
     VectorEstimationPolicy,
     VectorLESKPolicy,
@@ -63,15 +47,11 @@ from repro.protocols.vector import (
     VectorNoCDSweepPolicy,
     VectorSweepPolicy,
 )
-from repro.sim.fast import simulate_uniform_fast
 
 __all__ = [
-    "lesk_cell",
-    "lesu_cell",
-    "estimation_cell",
-    "sweep_cell",
-    "nocd_cell",
+    "run_cell",
     "cell_slot_budget",
+    "CellKind",
     "CellSpec",
     "CELL_KINDS",
     "run_shard",
@@ -99,284 +79,66 @@ def estimation_slot_budget(n: int, T: int) -> int:
     return int(1024 * max(T, math.log2(max(n, 2))) + 4096)
 
 
-def _use_batched(batched: bool, adversary: str) -> bool:
-    """Engine selection plus loud accounting for the scalar fallback."""
-    if not batched:
-        return False
-    if is_batchable(adversary):
-        return True
-    record_engine_fallback(
-        f"adversary {adversary!r}", reason="adversary-not-batchable"
-    )
-    return False
+class CellKind(NamedTuple):
+    """How one cell kind runs: its vector policy and default slot budget."""
+
+    policy: Callable  # (eps, width) -> VectorUniformPolicy
+    budget: Callable  # (n, eps, T) -> max_slots
 
 
-def lesk_cell(
-    n: int,
-    eps: float,
-    T: int,
-    adversary: str,
-    reps: int,
-    root_seed: int,
-    *path: int,
-    batched: bool = True,
-    megakernel: bool = False,
-    max_slots: int | None = None,
-    faults=None,
-    compact_interval: int | None = None,
-) -> list:
-    """Replicated LESK elections for one table cell.
-
-    With ``batched=True`` and a vectorizable adversary, all *reps*
-    replications advance together through the batched engine; otherwise
-    each replication is a scalar :func:`repro.core.election.elect_leader`
-    call.  ``max_slots=None`` selects the same
-    :func:`~repro.core.config.default_slot_budget` either way.
-
-    ``megakernel=True`` routes the batched path through the slot-blocked
-    megakernel instead (:func:`~repro.experiments.harness
-    .replicate_megakernel`): oblivious adversaries run the fused fast
-    path, everything else delegates back to the batched engine inside the
-    engine, so the flag is always safe to set.
-
-    *faults* (a :class:`~repro.resilience.faults.FaultModel`) applies on
-    both engine paths; *compact_interval* (dead-rep compaction) is a
-    batched-engine perf knob, ignored by the scalar loop.
-    """
-    if _use_batched(batched, adversary):
-        budget = (
-            max_slots if max_slots is not None else cell_slot_budget(n, eps, T, "lesk")
-        )
-        engine = replicate_megakernel if megakernel else replicate_batched
-        return engine(
-            lambda reps_: VectorLESKPolicy(eps, reps_),
-            n,
-            lambda reps_: make_batched_adversary(adversary, T=T, eps=eps, reps=reps_),
-            reps,
-            root_seed,
-            *path,
-            max_slots=budget,
-            faults=faults,
-            compact_interval=compact_interval,
-        )
-    return replicate(
-        lambda s: elect_leader(
-            n=n,
-            protocol="lesk",
-            eps=eps,
-            T=T,
-            adversary=adversary,
-            seed=s,
-            max_slots=max_slots,
-            faults=faults,
-        ),
-        reps,
-        root_seed,
-        *path,
-    )
+def _default_budget(protocol: str) -> Callable:
+    return lambda n, eps, T: cell_slot_budget(n, eps, T, protocol)
 
 
-def lesu_cell(
-    n: int,
-    eps: float,
-    T: int,
-    adversary: str,
-    reps: int,
-    root_seed: int,
-    *path: int,
-    batched: bool = True,
-    megakernel: bool = False,
-    max_slots: int | None = None,
-    faults=None,
-    compact_interval: int | None = None,
-) -> list:
-    """Replicated LESU (Algorithm 2, unknown eps/T) elections for one cell.
-
-    LESU has no megakernel ladder, so ``megakernel=True`` delegates back
-    to the batched engine inside the engine (loudly, via
-    ``engine_fallback_total``); the flag exists so sweeps can set it
-    uniformly across cell kinds.
-    """
-    if _use_batched(batched, adversary):
-        budget = (
-            max_slots if max_slots is not None else cell_slot_budget(n, eps, T, "lesu")
-        )
-        engine = replicate_megakernel if megakernel else replicate_batched
-        return engine(
-            lambda reps_: VectorLESUPolicy(reps_),
-            n,
-            lambda reps_: make_batched_adversary(adversary, T=T, eps=eps, reps=reps_),
-            reps,
-            root_seed,
-            *path,
-            max_slots=budget,
-            faults=faults,
-            compact_interval=compact_interval,
-        )
-    return replicate(
-        lambda s: elect_leader(
-            n=n,
-            protocol="lesu",
-            eps=eps,
-            T=T,
-            adversary=adversary,
-            seed=s,
-            max_slots=max_slots,
-            faults=faults,
-        ),
-        reps,
-        root_seed,
-        *path,
-    )
-
-
-def estimation_cell(
-    n: int,
-    eps: float,
-    T: int,
-    adversary: str,
-    reps: int,
-    root_seed: int,
-    *path: int,
-    batched: bool = True,
-    megakernel: bool = False,
-    max_slots: int | None = None,
-    faults=None,
-    compact_interval: int | None = None,
-) -> list:
-    """Replicated standalone ``Estimation(2)`` runs (halt on Single).
-
-    Results carry ``policy_result`` (the returned round index) on both
-    engine paths; ``max_slots=None`` selects the T4 cap.  Estimation has
-    no megakernel ladder, so ``megakernel=True`` delegates back to the
-    batched engine inside the engine.
-    """
-    budget = max_slots if max_slots is not None else estimation_slot_budget(n, T)
-    if _use_batched(batched, adversary):
-        engine = replicate_megakernel if megakernel else replicate_batched
-        return engine(
-            lambda reps_: VectorEstimationPolicy(reps_, L=2),
-            n,
-            lambda reps_: make_batched_adversary(adversary, T=T, eps=eps, reps=reps_),
-            reps,
-            root_seed,
-            *path,
-            max_slots=budget,
-            faults=faults,
-            compact_interval=compact_interval,
-        )
-    return replicate(
-        lambda s: simulate_uniform_fast(
-            EstimationPolicy(L=2),
-            n=n,
-            adversary=make_adversary(adversary, T=T, eps=eps),
-            max_slots=budget,
-            seed=s,
-            halt_on_single=True,
-            faults=faults,
-        ),
-        reps,
-        root_seed,
-        *path,
-    )
-
-
-def sweep_cell(
-    n: int,
-    eps: float,
-    T: int,
-    adversary: str,
-    reps: int,
-    root_seed: int,
-    *path: int,
-    batched: bool = True,
-    megakernel: bool = False,
-    max_slots: int | None = None,
-    faults=None,
-    compact_interval: int | None = None,
-) -> list:
-    """Replicated Nakano--Olariu doubling-sweep (CD) baseline runs."""
-    budget = max_slots if max_slots is not None else cell_slot_budget(n, eps, T, "lesk")
-    if _use_batched(batched, adversary):
-        engine = replicate_megakernel if megakernel else replicate_batched
-        return engine(
-            lambda reps_: VectorSweepPolicy(reps_),
-            n,
-            lambda reps_: make_batched_adversary(adversary, T=T, eps=eps, reps=reps_),
-            reps,
-            root_seed,
-            *path,
-            max_slots=budget,
-            faults=faults,
-            compact_interval=compact_interval,
-        )
-    return replicate(
-        lambda s: simulate_uniform_fast(
-            UniformSweepPolicy(),
-            n=n,
-            adversary=make_adversary(adversary, T=T, eps=eps),
-            max_slots=budget,
-            seed=s,
-            faults=faults,
-        ),
-        reps,
-        root_seed,
-        *path,
-    )
-
-
-def nocd_cell(
-    n: int,
-    eps: float,
-    T: int,
-    adversary: str,
-    reps: int,
-    root_seed: int,
-    *path: int,
-    batched: bool = True,
-    megakernel: bool = False,
-    max_slots: int | None = None,
-    faults=None,
-    compact_interval: int | None = None,
-) -> list:
-    """Replicated no-CD repeated-sweep baseline runs."""
-    budget = max_slots if max_slots is not None else cell_slot_budget(n, eps, T, "lesk")
-    if _use_batched(batched, adversary):
-        engine = replicate_megakernel if megakernel else replicate_batched
-        return engine(
-            lambda reps_: VectorNoCDSweepPolicy(reps_),
-            n,
-            lambda reps_: make_batched_adversary(adversary, T=T, eps=eps, reps=reps_),
-            reps,
-            root_seed,
-            *path,
-            max_slots=budget,
-            faults=faults,
-            compact_interval=compact_interval,
-        )
-    return replicate(
-        lambda s: simulate_uniform_fast(
-            NoCDSweepPolicy(),
-            n=n,
-            adversary=make_adversary(adversary, T=T, eps=eps),
-            max_slots=budget,
-            seed=s,
-            faults=faults,
-        ),
-        reps,
-        root_seed,
-        *path,
-    )
-
-
-#: Cell-kind registry used by :func:`run_shard` (names are CellSpec.kind).
-CELL_KINDS = {
-    "lesk": lesk_cell,
-    "lesu": lesu_cell,
-    "estimation": estimation_cell,
-    "sweep": sweep_cell,
-    "nocd": nocd_cell,
+#: Cell-kind registry (names are :attr:`CellSpec.kind`).  The baselines
+#: share LESK's slot budget; Estimation gets the generous T4 cap.
+CELL_KINDS: dict[str, CellKind] = {
+    "lesk": CellKind(
+        lambda eps, w: VectorLESKPolicy(eps, w), _default_budget("lesk")
+    ),
+    "lesu": CellKind(lambda eps, w: VectorLESUPolicy(w), _default_budget("lesu")),
+    "estimation": CellKind(
+        lambda eps, w: VectorEstimationPolicy(w, L=2),
+        lambda n, eps, T: estimation_slot_budget(n, T),
+    ),
+    "sweep": CellKind(lambda eps, w: VectorSweepPolicy(w), _default_budget("lesk")),
+    "nocd": CellKind(
+        lambda eps, w: VectorNoCDSweepPolicy(w), _default_budget("lesk")
+    ),
 }
+
+
+def run_cell(
+    kind: str,
+    n: int,
+    eps: float,
+    T: int,
+    adversary: str,
+    reps: int,
+    root_seed: int,
+    *path: int,
+    max_slots: int | None = None,
+    faults=None,
+) -> list:
+    """Replicated runs of cell *kind* for one table cell.
+
+    All *reps* replications advance together through
+    :func:`~repro.experiments.harness.replicate_batched`.  ``max_slots=None``
+    selects the kind's budget rule.  *faults* (a
+    :class:`~repro.resilience.faults.FaultModel`) composes into the run;
+    estimation results carry ``policy_result`` (the returned round index).
+    """
+    cell = CELL_KINDS[kind]
+    return replicate_batched(
+        lambda width: cell.policy(eps, width),
+        n,
+        lambda width: make_batched_adversary(adversary, T=T, eps=eps, reps=width),
+        reps,
+        root_seed,
+        *path,
+        max_slots=max_slots if max_slots is not None else cell.budget(n, eps, T),
+        faults=faults,
+    )
 
 
 @dataclass(frozen=True, slots=True)
@@ -386,11 +148,7 @@ class CellSpec:
     Plain frozen data so it pickles across the worker-pool boundary; the
     ``path`` is the cell's seed-derivation path exactly as passed to the
     unsharded cell functions.  ``faults`` composes a model-level
-    :class:`~repro.resilience.faults.FaultModel` into the cell (applied on
-    both engine paths); ``compact_interval`` enables dead-rep compaction
-    on the batched engine; ``megakernel`` routes the batched path through
-    the slot-blocked megakernel engine (ineligible configurations
-    delegate back to the batched engine inside the engine).
+    :class:`~repro.resilience.faults.FaultModel` into the cell.
     """
 
     kind: str
@@ -401,11 +159,8 @@ class CellSpec:
     reps: int
     root_seed: int
     path: tuple[int, ...]
-    batched: bool = True
-    megakernel: bool = False
     max_slots: int | None = None
     faults: object | None = None  # resilience.faults.FaultModel
-    compact_interval: int | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in CELL_KINDS:
@@ -415,10 +170,6 @@ class CellSpec:
             )
         if self.reps < 1:
             raise ConfigurationError(f"reps must be >= 1, got {self.reps}")
-        if self.compact_interval is not None and self.compact_interval < 1:
-            raise ConfigurationError(
-                f"compact_interval must be >= 1, got {self.compact_interval}"
-            )
 
     def to_jsonable(self) -> dict:
         """Plain-data form that round-trips exactly through JSON.
@@ -437,16 +188,10 @@ class CellSpec:
             "root_seed": self.root_seed,
             "path": list(self.path),
         }
-        if not self.batched:
-            data["batched"] = self.batched
-        if self.megakernel:
-            data["megakernel"] = self.megakernel
         if self.max_slots is not None:
             data["max_slots"] = self.max_slots
         if self.faults is not None:
             data["faults"] = self.faults.to_jsonable()
-        if self.compact_interval is not None:
-            data["compact_interval"] = self.compact_interval
         return data
 
     @classmethod
@@ -477,9 +222,9 @@ def run_shard(item: tuple) -> tuple[list, dict]:
     Module-level so pool dispatch can pickle it by reference.
     """
     spec, block_index, block_reps = item
-    cell = CELL_KINDS[spec.kind]
     with telemetry.collecting() as shard:
-        results = cell(
+        results = run_cell(
+            spec.kind,
             spec.n,
             spec.eps,
             spec.T,
@@ -489,11 +234,8 @@ def run_shard(item: tuple) -> tuple[list, dict]:
             *spec.path,
             SHARD_BLOCK_TAG,
             block_index,
-            batched=spec.batched,
-            megakernel=spec.megakernel,
             max_slots=spec.max_slots,
             faults=spec.faults,
-            compact_interval=spec.compact_interval,
         )
     return results, shard.to_jsonable()
 
@@ -507,8 +249,8 @@ def run_cell_direct(spec: CellSpec) -> list:
     :func:`run_cells` preserve their fixed-seed pins when sharding is not
     requested.
     """
-    cell = CELL_KINDS[spec.kind]
-    return cell(
+    return run_cell(
+        spec.kind,
         spec.n,
         spec.eps,
         spec.T,
@@ -516,11 +258,8 @@ def run_cell_direct(spec: CellSpec) -> list:
         spec.reps,
         spec.root_seed,
         *spec.path,
-        batched=spec.batched,
-        megakernel=spec.megakernel,
         max_slots=spec.max_slots,
         faults=spec.faults,
-        compact_interval=spec.compact_interval,
     )
 
 

@@ -73,7 +73,10 @@ CHECKPOINT_SUBDIR = "checkpoints"
 #: Block-level checkpoints written by the shard supervisor during sharded
 #: sweeps (content-addressed; see experiments.shard_supervisor).
 SHARD_SUBDIR = "shards"
-MANIFEST_FORMAT = 1
+#: Run-directory format.  Format 2: every batched cell draws from the one
+#: packed RNG stream, so tables written under format 1 (engine-dependent
+#: streams) cannot be reproduced and are refused on ``--resume``/replay.
+MANIFEST_FORMAT = 2
 
 #: Manifest keys that change results: a resume with a different value is
 #: refused.  The environment keys below are advisory (warn only) -- a

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import io
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -32,57 +31,18 @@ __all__ = [
     "Table",
     "replicate",
     "replicate_batched",
-    "replicate_megakernel",
     "replicate_vectorized",
-    "batched_enabled",
-    "megakernel_enabled",
-    "vectorized_enabled",
-    "record_engine_fallback",
+    "COMPACT_INTERVAL",
     "ShardedScheduler",
     "SHARD_BLOCK_TAG",
     "summarize_times",
     "preset_value",
 ]
 
-#: Preset-level switch for the batched cross-replication engine: presets
-#: mapped to True run their batchable (protocol, adversary) cells through
-#: :func:`replicate_batched`; others use the scalar :func:`replicate` loop.
-#: Flip a preset here (or pass ``batched=`` to an experiment's ``run``) to
-#: force the scalar path, e.g. when bisecting a statistics regression.
-BATCHED_PRESETS: dict[str, bool] = {"small": True, "smoke": True, "full": True}
-
-#: Preset-level switch for the vectorized faithful engine
-#: (:mod:`repro.sim.vectorized`): presets mapped to True run their audited
-#: per-station cells -- the differential/audit experiments, where the
-#: faithful model is required but the scalar station loop is the
-#: bottleneck -- through :func:`replicate_vectorized`; others keep the
-#: scalar :func:`repro.sim.engine.simulate_stations` loop.
-VECTORIZED_PRESETS: dict[str, bool] = {"small": True, "smoke": True, "full": True}
-
-#: Preset-level switch for the slot-blocked megakernel engine
-#: (:mod:`repro.sim.megakernel`): presets mapped to True route their
-#: batched uniform cells through :func:`replicate_megakernel` instead of
-#: :func:`replicate_batched`.  The megakernel serves oblivious
-#: (schedulable) adversaries on the fused fast path and delegates every
-#: other configuration back to the batched engine byte-identically, so
-#: flipping this switch never changes which cells *can* run -- only how
-#: fast the oblivious ones do.
-MEGAKERNEL_PRESETS: dict[str, bool] = {"small": True, "smoke": True, "full": True}
-
-
-def batched_enabled(preset: str) -> bool:
-    """Whether the batched engine is enabled for *preset*."""
-    return BATCHED_PRESETS.get(preset, False)
-
-
-def megakernel_enabled(preset: str) -> bool:
-    """Whether the slot-blocked megakernel engine is enabled for *preset*."""
-    return MEGAKERNEL_PRESETS.get(preset, False)
-
-
-def vectorized_enabled(preset: str) -> bool:
-    """Whether the vectorized faithful engine is enabled for *preset*."""
-    return VECTORIZED_PRESETS.get(preset, False)
+#: Dead-rep compaction stride of every :func:`replicate_batched` cell
+#: (the interval ``benchmarks/bench_engines.py`` measures).  Results do
+#: not depend on it: the packed stream is bit-identical for every interval.
+COMPACT_INTERVAL = 16
 
 
 def preset_value(preset: str, small, full):
@@ -244,74 +204,27 @@ def replicate_batched(
     *path: int,
     max_slots: int,
     faults=None,
-    compact_interval: int | None = None,
 ) -> list:
     """Batched counterpart of :func:`replicate` for uniform protocols.
 
     Runs all *reps* replications in one
-    :func:`repro.sim.batched.simulate_uniform_batched` call and returns the
+    :func:`repro.sim.megakernel.simulate_uniform_megakernel` call on the
+    packed stream (``compact_interval=COMPACT_INTERVAL``) and returns the
     per-replication :class:`~repro.sim.metrics.RunResult` list, so the same
     ``summarize_times`` summary dicts come out as from the scalar loop.
+    :func:`~repro.sim.megakernel.megakernel_eligibility` picks the engine:
+    oblivious (schedulable) adversaries against the LESK/sweep ladders run
+    the fused fast path, every other configuration the batched compaction
+    loop.  Both consume the same stream, so the choice never changes
+    results (``engine_fallback_total{engine="megakernel"}`` counts it).
 
     Seeding is path-stable via :func:`repro.rng.derive_seed` exactly like
     :func:`replicate`: the batch seed derives from ``(root_seed, *path)``,
     so a table cell reproduces bit-for-bit regardless of execution order.
     (Per-replication bitstreams differ from the scalar loop's -- the batch
     interleaves its draws -- but the run-law is identical; see
-    ``tests/sim/test_batched.py``.)
-
-    *faults* (a :class:`~repro.resilience.faults.FaultModel`) and
-    *compact_interval* (dead-rep compaction stride) forward to the engine;
-    both default to off, leaving every faults-off pin bit-identical.
-    """
-    if reps < 1:
-        raise ConfigurationError(f"reps must be >= 1, got {reps}")
-    from repro.sim.batched import simulate_uniform_batched
-
-    batch = simulate_uniform_batched(
-        policy_factory,
-        n,
-        adversary_factory,
-        reps=reps,
-        max_slots=max_slots,
-        root_seed=derive_seed(root_seed, *path),
-        faults=faults,
-        compact_interval=compact_interval,
-    )
-    results = batch.results()
-    _record_cell(results, path)
-    return results
-
-
-def replicate_megakernel(
-    policy_factory: Callable,
-    n: int,
-    adversary_factory: Callable,
-    reps: int,
-    root_seed: int,
-    *path: int,
-    max_slots: int,
-    faults=None,
-    compact_interval: int | None = None,
-) -> list:
-    """Megakernel counterpart of :func:`replicate_batched`.
-
-    Routes the cell through
-    :func:`repro.sim.megakernel.simulate_uniform_megakernel`: oblivious
-    (schedulable) adversaries run the slot-blocked fused fast path, and
-    every configuration the fast path cannot serve -- adaptive
-    strategies, non-ladder policies, enabled fault models -- delegates to
-    the batched engine with the original arguments, byte-identical to
-    :func:`replicate_batched` having been called directly (the fallback
-    is loud: ``engine_fallback_total{engine="megakernel"}``).
-
-    Seeding is path-stable exactly like :func:`replicate_batched`.  Note
-    the fused path compacts dead replications maximally, so its bitstream
-    matches the batched engine's only under an explicit
-    ``compact_interval`` (any value); cells flipped onto the megakernel
-    keep the batched run-law but not the default-stream bits, so
-    fixed-seed pins that must survive the flip should pin the law, not
-    the bits (see ``docs/engines.md``).
+    ``tests/sim/test_batched.py``.)  *faults* (a
+    :class:`~repro.resilience.faults.FaultModel`) forwards to the engine.
     """
     if reps < 1:
         raise ConfigurationError(f"reps must be >= 1, got {reps}")
@@ -325,7 +238,7 @@ def replicate_megakernel(
         max_slots=max_slots,
         root_seed=derive_seed(root_seed, *path),
         faults=faults,
-        compact_interval=compact_interval,
+        compact_interval=COMPACT_INTERVAL,
     )
     results = batch.results()
     _record_cell(results, path)
@@ -380,33 +293,6 @@ def replicate_vectorized(
     results = batch.results()
     _record_cell(results, path)
     return results
-
-
-#: Components already warned about in this process -- the fallback warning
-#: fires once per component, the telemetry counter on every fallback.
-_FALLBACK_WARNED: set[str] = set()
-
-_log = logging.getLogger(__name__)
-
-
-def record_engine_fallback(component: str, reason: str) -> None:
-    """Record a silent-no-more fallback from the batched to the scalar path.
-
-    Increments ``engine_fallback_total{reason=...}`` (a no-op when telemetry
-    is disabled) and emits a one-time :mod:`logging` warning naming the
-    unbatchable *component*, so a cell quietly running ~10x slower leaves a
-    visible trace in both the metrics and the log.
-    """
-    get_telemetry().counter("engine_fallback_total", reason=reason).inc()
-    if component not in _FALLBACK_WARNED:
-        _FALLBACK_WARNED.add(component)
-        _log.warning(
-            "batched engine requested but %s has no vectorized "
-            "implementation (reason=%s); falling back to the scalar "
-            "per-slot loop",
-            component,
-            reason,
-        )
 
 
 #: Seed-path component separating shard block indices from repetition

@@ -49,6 +49,7 @@ from pathlib import Path
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments.cells import CellSpec, run_cells_sharded_report
 from repro.experiments.checkpoint import (
+    MANIFEST_FORMAT,
     SHARD_SUBDIR,
     atomic_write_text,
     cli_invocation,
@@ -203,7 +204,7 @@ def sweep_table(specs: list[CellSpec], results: list[list]) -> Table:
 
 def _manifest(args, kinds, ns, adversaries) -> dict:
     return {
-        "format": 1,
+        "format": MANIFEST_FORMAT,
         "kinds": kinds,
         "n": ns,
         "adversaries": adversaries,

@@ -15,13 +15,14 @@ of :class:`~repro.experiments.cells.CellSpec` cells::
       T: [16]
       adversary: [random, saturating]
     reps: 64
-    engine: {batched: true}
+    engine: {max_slots: 20000}
     sharding: {block_size: 64}
 
 Validation is strict and total: every problem is reported with the path
 of the offending key (``grid.adversary[1]: unknown adversary ...``),
 unknown keys are rejected at every level, adversary names are checked
-against :func:`repro.adversary.suite.strategy_names`, cell kinds against
+against :data:`repro.adversary.vector.BATCHED_STRATEGY_REGISTRY` (every
+cell runs batched), cell kinds against
 :data:`repro.experiments.cells.CELL_KINDS`, the ``faults`` section
 round-trips through :meth:`repro.resilience.faults.FaultModel
 .from_jsonable`, and grid-size/budget sanity is enforced against the
@@ -46,6 +47,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.adversary.suite import strategy_names
+from repro.adversary.vector import BATCHED_STRATEGY_REGISTRY
 from repro.errors import ConfigurationError
 from repro.experiments.cells import CELL_KINDS, CellSpec
 from repro.resilience.faults import FaultModel
@@ -78,7 +80,7 @@ _TOP_KEYS = {
     "engine", "sharding", "faults", "telemetry", "limits",
 }
 _GRID_KEYS = {"kind", "n", "eps", "T", "adversary"}
-_ENGINE_KEYS = {"batched", "max_slots", "compact_interval"}
+_ENGINE_KEYS = {"max_slots"}
 _SHARDING_KEYS = {"block_size"}
 _TELEMETRY_KEYS = {"enabled", "stride"}
 _LIMITS_KEYS = {"max_cells", "max_total_reps"}
@@ -103,9 +105,7 @@ class Scenario:
     Ts: tuple[int, ...]
     adversaries: tuple[str, ...]
     reps: int
-    batched: bool
     max_slots: int | None
-    compact_interval: int | None
     block_size: int
     faults: FaultModel | None
     telemetry_enabled: bool
@@ -155,11 +155,7 @@ class Scenario:
                 "T": list(self.Ts),
             },
             "reps": self.reps,
-            "engine": {
-                "batched": self.batched,
-                "max_slots": self.max_slots,
-                "compact_interval": self.compact_interval,
-            },
+            "engine": {"max_slots": self.max_slots},
             "sharding": {"block_size": self.block_size},
             "faults": None if self.faults is None else self.faults.to_jsonable(),
         }
@@ -248,15 +244,17 @@ def _validate_grid(doc: dict, rep: _Report):
     advs = []
     if not advs_raw:
         rep.error("grid.adversary", "must be a non-empty list")
-    known_advs = strategy_names()
+    known_advs = list(BATCHED_STRATEGY_REGISTRY)
     for i, adv in enumerate(advs_raw):
-        if not isinstance(adv, str) or adv not in known_advs:
-            rep.error(
-                f"grid.adversary[{i}]",
-                f"unknown adversary {adv!r}; known: {', '.join(known_advs)}",
-            )
-        else:
+        if isinstance(adv, str) and adv in BATCHED_STRATEGY_REGISTRY:
             advs.append(adv)
+            continue
+        problem = (
+            f"adversary {adv!r} has no batched implementation"
+            if adv in strategy_names()
+            else f"unknown adversary {adv!r}"
+        )
+        rep.error(f"grid.adversary[{i}]", f"{problem}; known: {', '.join(known_advs)}")
 
     if "n" not in grid:
         rep.error("grid.n", "required axis is missing")
@@ -287,39 +285,15 @@ def _validate_grid(doc: dict, rep: _Report):
     return tuple(kinds), tuple(advs), ns, tuple(epss), Ts
 
 
-def _validate_engine(doc: dict, rep: _Report) -> tuple[bool, int | None, int | None]:
-    engine = doc.get("engine", {})
-    if engine is None:
-        engine = {}
-    if not isinstance(engine, dict):
-        rep.error("engine", f"must be a mapping, got {type(engine).__name__}")
-        return True, None, None
-    _check_unknown(engine, _ENGINE_KEYS, "engine.", rep)
-    batched = engine.get("batched", True)
-    if not isinstance(batched, bool):
-        rep.error("engine.batched", f"must be true or false, got {batched!r}")
-        batched = True
-    max_slots = engine.get("max_slots")
+def _validate_engine(doc: dict, rep: _Report) -> int | None:
+    engine = _validate_section(doc, "engine", _ENGINE_KEYS, {"max_slots": None}, rep)
+    max_slots = engine["max_slots"]
     if max_slots is not None and (not _is_int(max_slots) or max_slots < 1):
         rep.error(
             "engine.max_slots", f"must be a positive integer or null, got {max_slots!r}"
         )
         max_slots = None
-    compact = engine.get("compact_interval")
-    if compact is not None and (not _is_int(compact) or compact < 1):
-        rep.error(
-            "engine.compact_interval",
-            f"must be a positive integer or null, got {compact!r}",
-        )
-        compact = None
-    elif compact is not None and not batched:
-        rep.error(
-            "engine.compact_interval",
-            "conflicts with engine.batched: false -- dead-rep compaction "
-            "is a batched-engine feature; drop it or set engine.batched: true",
-        )
-        compact = None
-    return batched, max_slots, compact
+    return max_slots
 
 
 def _validate_faults(doc: dict, rep: _Report) -> FaultModel | None:
@@ -406,7 +380,7 @@ def scenario_from_jsonable(doc, source: str = "<document>") -> Scenario:
         rep.error("reps", f"must be an integer >= 1, got {reps!r}")
         reps = 1
 
-    batched, max_slots, compact = _validate_engine(doc, rep)
+    max_slots = _validate_engine(doc, rep)
 
     sharding = _validate_section(
         doc, "sharding", _SHARDING_KEYS, {"block_size": 64}, rep
@@ -480,9 +454,7 @@ def scenario_from_jsonable(doc, source: str = "<document>") -> Scenario:
         Ts=Ts,
         adversaries=advs,
         reps=reps,
-        batched=batched,
         max_slots=max_slots,
-        compact_interval=compact,
         block_size=block_size,
         faults=faults,
         telemetry_enabled=tel_enabled,
@@ -546,10 +518,8 @@ def expand(scenario: Scenario) -> list[CellSpec]:
                                 reps=scenario.reps,
                                 root_seed=scenario.seed,
                                 path=(scenario.path_tag, len(specs)),
-                                batched=scenario.batched,
                                 max_slots=scenario.max_slots,
                                 faults=scenario.faults,
-                                compact_interval=scenario.compact_interval,
                             )
                         )
     return specs

@@ -53,6 +53,7 @@ from repro import telemetry
 from repro.errors import ChecksumMismatchError, ConfigurationError
 from repro.experiments.cells import CellSpec, run_cells_sharded_report
 from repro.experiments.checkpoint import (
+    MANIFEST_FORMAT,
     SHARD_SUBDIR,
     atomic_write_text,
     build_manifest,
@@ -309,6 +310,12 @@ class RunStore:
 
     def get(self, run_id: str) -> RunRecord:
         """Fetch a run by id or unique id prefix."""
+        run_id = self._resolve(run_id)
+        root = self.run_dir(run_id)
+        return RunRecord(run_id=run_id, root=root, scenario=self._load_scenario(root))
+
+    def _resolve(self, run_id: str) -> str:
+        """The full run id for an id or unique id prefix."""
         ids = self.run_ids()
         if run_id in ids:
             matches = [run_id]
@@ -323,9 +330,7 @@ class RunStore:
             raise ConfigurationError(
                 f"ambiguous run id prefix {run_id!r}: matches {matches}"
             )
-        root = self.run_dir(matches[0])
-        scenario = self._load_scenario(root)
-        return RunRecord(run_id=matches[0], root=root, scenario=scenario)
+        return matches[0]
 
     def records(self) -> list[RunRecord]:
         """All registered runs (sorted by id)."""
@@ -717,12 +722,25 @@ class RunStore:
     def verify(self, run_id: str) -> None:
         """Integrity-check a stored run without re-executing it.
 
-        Confirms the scenario document still matches the manifest's
-        content digest and the stored table passes its checksum.  Raises
+        Confirms the run was stored in this build's manifest format (before
+        parsing a document an older format may no longer validate), the
+        scenario document still matches the manifest's content digest, and
+        the stored table passes its checksum.  Raises
         :class:`ChecksumMismatchError` / :class:`ConfigurationError`.
         """
+        run_id = self._resolve(run_id)
+        manifest = self.manifest(run_id)
+        if manifest.get("format") != MANIFEST_FORMAT:
+            raise ConfigurationError(
+                f"run {run_id} was stored in manifest format "
+                f"{manifest.get('format')!r}, this build writes "
+                f"{MANIFEST_FORMAT}: since format 2 every cell draws from one "
+                "packed RNG stream whatever engine runs it, so results stored "
+                "under the old engine-dependent streams cannot be reproduced; "
+                "resubmit the scenario to recompute it"
+            )
         record = self.get(run_id)
-        stored_digest = self.manifest(run_id).get("scenario_digest")
+        stored_digest = manifest.get("scenario_digest")
         digest = scenario_digest(record.scenario)
         if digest != stored_digest:
             raise ChecksumMismatchError(
@@ -739,8 +757,9 @@ class RunStore:
         worker count), and compares the recomputed table's canonical
         payload byte-for-byte against the stored one.
         """
-        record = self.get(run_id)
         self.verify(run_id)
+        record = self.get(run_id)
+        run_id = record.run_id
         stored = self.load_table(run_id)
         scenario = record.scenario
         specs = expand(scenario)

@@ -129,7 +129,6 @@ def simulate_uniform_batched(
     faults=None,
     auditor=None,
     compact_interval: int | None = None,
-    compact_rng: str = "packed",
 ) -> BatchRunResult:
     """Run *reps* independent replications of a uniform policy in lockstep.
 
@@ -161,25 +160,18 @@ def simulate_uniform_batched(
         Optional :class:`~repro.resilience.auditor.BatchInvariantAuditor`.
     compact_interval:
         ``None`` (default) keeps every retired column materialized for the
-        whole run -- the legacy layout.  An integer ``>= 1`` enables
-        dead-rep compaction: every ``compact_interval`` slots the retired
-        columns are packed out of the policy, strategy and budget state,
-        so per-slot work tracks the *live* width.  Results are identical
-        for every surviving column across *all* interval choices; only the
-        post-retirement conditioning of already-retired columns (which no
-        result reads) differs.
-    compact_rng:
-        Transmitter-draw stream layout under compaction (ignored without
-        ``compact_interval``).  ``"packed"`` (default) draws the binomial
-        transmitter counts at the *active* width -- the consumed stream
-        depends only on the schedule-independent active set, so results
-        are bit-identical across every ``compact_interval``, but differ
-        from the legacy full-width bitstream (same law; KS/differential
-        cross-validated).  ``"legacy"`` keeps the full-width draw over
-        frozen retired probabilities, reproducing the no-compaction
-        results bit-for-bit at a per-slot cost floor of one full-width
-        binomial.  Fault streams and the random jammer's Bernoulli stream
-        stay pinned per original rep in both modes.
+        whole run and draws the transmitter counts at the full width: the
+        reference layout, kept for the engine benchmarks and fixed-seed
+        pins.  An integer ``>= 1`` enables dead-rep compaction on the
+        *packed* stream: the binomial transmitter counts are drawn at the
+        *active* width, and every ``compact_interval`` slots the retired
+        columns are packed out of the policy, strategy and budget state, so
+        per-slot work tracks the live width.  The consumed stream depends
+        only on the schedule-independent active set, so results are
+        bit-identical across *every* interval; they differ from the
+        full-width bitstream in bits, not in law (KS/differential
+        cross-validated).  Fault streams and the random jammer's Bernoulli
+        stream stay pinned per original rep.
     """
     if n < 1:
         raise ConfigurationError(f"n must be >= 1, got {n}")
@@ -190,10 +182,6 @@ def simulate_uniform_batched(
     if compact_interval is not None and compact_interval < 1:
         raise ConfigurationError(
             f"compact_interval must be >= 1 or None, got {compact_interval}"
-        )
-    if compact_rng not in ("packed", "legacy"):
-        raise ConfigurationError(
-            f"compact_rng must be 'packed' or 'legacy', got {compact_rng!r}"
         )
 
     rng = make_rng(root_seed)
@@ -220,7 +208,6 @@ def simulate_uniform_batched(
             halt_on_single=halt_on_single,
             auditor=auditor,
             interval=int(compact_interval),
-            packed_rng=compact_rng == "packed",
         )
 
     active = np.ones(reps, dtype=bool)
@@ -419,7 +406,6 @@ def _simulate_compact(
     halt_on_single: bool,
     auditor,
     interval: int,
-    packed_rng: bool,
 ) -> BatchRunResult:
     """Dead-rep compaction loop: per-slot work tracks the *live* width.
 
@@ -429,28 +415,19 @@ def _simulate_compact(
     columns are packed out of the policy/strategy/budget state every
     ``interval`` slots via their ``compact(keep)`` hooks.
 
-    Stream contract (``compact_rng`` in :func:`simulate_uniform_batched`):
-    in *packed* mode the transmitter binomial is drawn at the active
-    width -- per-slot stream consumption equals the number of active
-    columns, presented in ascending original order, a quantity that does
-    not depend on the packing schedule -- so every ``compact_interval``
-    choice produces bit-identical results (same law as the legacy
-    stream; KS/differential cross-validated).  In *legacy* mode the draw
-    stays at the original full width with retired columns' last clipped
-    probabilities frozen in ``p_full`` (their policy state is frozen, so
-    the legacy engine would recompute the same values), consuming exactly
-    the no-compaction bitstream: results reproduce
-    ``compact_interval=None`` bit for bit.  In both modes winner draws
-    use schedule-independent counts in ascending original order, fault
-    masks are realized at full width per original rep, and the adversary
-    conditions its own spawned stream per original rep.
+    Stream contract (the *packed* stream): the transmitter binomial is
+    drawn at the active width -- per-slot stream consumption equals the
+    number of active columns, presented in ascending original order, a
+    quantity that does not depend on the packing schedule -- so every
+    ``compact_interval`` choice produces bit-identical results (same law
+    as the full-width stream; KS/differential cross-validated).  Winner
+    draws use schedule-independent counts in ascending original order,
+    fault masks are realized at full width per original rep, and the
+    adversary conditions its own spawned stream per original rep.
     """
     live_orig = np.arange(reps, dtype=np.int64)
     live_active = np.ones(reps, dtype=bool)
     active_full = np.ones(reps, dtype=bool)
-    if not packed_rng:
-        p_full = np.zeros(reps, dtype=np.float64)
-        p_eff_buf = np.empty(reps, dtype=np.float64)
 
     slots = np.full(reps, max_slots, dtype=np.int64)
     elected = np.zeros(reps, dtype=bool)
@@ -476,7 +453,7 @@ def _simulate_compact(
     if rec is not None or auditor is not None:
         jammed_full = np.zeros(reps, dtype=bool)
         observed_full = np.full(reps, _NULL, dtype=np.int8)
-        k_buf = np.zeros(reps, dtype=np.int64) if packed_rng else None
+        k_rep = np.zeros(reps, dtype=np.int64)
 
     notify = getattr(adversary, "observe_outcomes", None)
     strat = getattr(adversary, "strategy", None)
@@ -575,42 +552,27 @@ def _simulate_compact(
             flip = erase = None
             downgrade = False
 
-        if packed_rng:
-            # Active-width draw, ascending original order.
-            if all_live:
-                p_act = np.clip(p, 0.0, 1.0, out=p_clip)
-            else:
-                p_act = p[live_active]
-                np.clip(p_act, 0.0, 1.0, out=p_act)
-            if bf is not None:
-                p_act *= bf.p_scale
-            k = rng.binomial(awake, p_act)
-            if not all_live:
-                k_act = k
-                k = np.zeros(width, dtype=np.int64)
-                k[live_active] = k_act
-            tx_live += k
+        # Active-width draw, ascending original order.
+        if all_live:
+            p_act = np.clip(p, 0.0, 1.0, out=p_clip)
         else:
-            # Full-width draw over frozen probabilities: the legacy stream.
-            p_full[live_orig] = np.clip(p, 0.0, 1.0, out=p_clip)
-            if bf is not None:
-                np.multiply(p_full, bf.p_scale, out=p_eff_buf)
-                k_all = rng.binomial(awake, p_eff_buf)
-            else:
-                k_all = rng.binomial(awake, p_full)
-            k = k_all[live_orig]
-            np.add(tx_live, k, out=tx_live, where=live_active)
+            p_act = p[live_active]
+            np.clip(p_act, 0.0, 1.0, out=p_act)
+        if bf is not None:
+            p_act *= bf.p_scale
+        k = rng.binomial(awake, p_act)
+        if not all_live:
+            k_act = k
+            k = np.zeros(width, dtype=np.int64)
+            k[live_active] = k_act
+        tx_live += k
 
         if bf is not None:
             np.subtract(awake, k, out=energy_tmp)
             np.add(listen_live, energy_tmp, out=listen_live, where=live_active)
         if rec is not None or auditor is not None:
-            if packed_rng:
-                k_rep = k_buf
-                k_rep[:] = 0
-                k_rep[live_orig] = k
-            else:
-                k_rep = k_all
+            k_rep[:] = 0
+            k_rep[live_orig] = k
             jammed_full[:] = False
             jammed_full[live_orig] = jammed
             if rec is not None:
@@ -658,10 +620,7 @@ def _simulate_compact(
             # have won that earlier slot), so the fresh-single update
             # collapses into the win handling.  Packed draws leave k == 0
             # in retired columns, so the mask is already implicit there.
-            if packed_rng or all_live:
-                won = successful_single
-            else:
-                won = live_active & successful_single
+            won = successful_single
             if won.any():
                 pos = np.flatnonzero(won)
                 orig = live_orig[pos]
@@ -761,8 +720,3 @@ def _realize_batch_faults(faults, n: int, reps: int, max_slots: int, rng):
     raise ConfigurationError(
         f"faults must be a FaultModel or BatchFaultState, got {type(faults).__name__}"
     )
-
-
-def _true_states(k: np.ndarray) -> np.ndarray:
-    """Transmitter counts -> true channel-state codes (vectorized)."""
-    return np.minimum(k, 2).astype(np.int8)

@@ -20,15 +20,50 @@ The engines (:mod:`repro.sim.engine`, :mod:`repro.sim.fast`,
 ``jam_occupied_total / jam_slots_total`` is the *jam efficiency* an
 adaptive strategy is optimizing (jams spent on slots where at least one
 station transmitted); E08 reports it per strategy without trace recording.
+
+:func:`record_engine_fallback` is the one place an engine notes that it
+handed a configuration to a slower path
+(``engine_fallback_total{engine=,reason=}``).
 """
 
 from __future__ import annotations
 
+import logging
 import time
 
 import numpy as np
 
-__all__ = ["EngineRecorder"]
+from repro.telemetry import get_telemetry
+
+__all__ = ["EngineRecorder", "record_engine_fallback"]
+
+_log = logging.getLogger(__name__)
+
+#: ``(engine, reason)`` pairs already logged in this process -- the log
+#: line fires once per pair, the telemetry counter on every fallback.
+_FALLBACK_LOGGED: set[tuple[str, str]] = set()
+
+
+def record_engine_fallback(engine: str, reason: str, ran: str) -> None:
+    """Count that *engine* does not serve a configuration and *ran* did.
+
+    Increments ``engine_fallback_total{engine=,reason=}`` (a no-op when
+    telemetry is disabled) and logs the first occurrence of each
+    ``(engine, reason)`` pair, so which engine ran a cell, and why, stays
+    visible in both the metrics and the log.
+    """
+    get_telemetry().counter(
+        "engine_fallback_total", engine=engine, reason=reason
+    ).inc()
+    if (engine, reason) not in _FALLBACK_LOGGED:
+        _FALLBACK_LOGGED.add((engine, reason))
+        _log.info(
+            "%s engine does not serve this configuration (reason=%s); "
+            "running %s instead",
+            engine,
+            reason,
+            ran,
+        )
 
 
 class EngineRecorder:

@@ -32,15 +32,14 @@ RNG-stream contract
 -------------------
 The root-seed prelude is byte-compatible with the batched engine
 (``make_rng(root_seed)``; one spawned seed for the adversary).  Transmitter
-draws follow the *packed* compacted stream (``compact_rng="packed"``):
-active-width binomials in ascending original column order, winners' leader
-draws via ``rng.integers`` in ascending original order.  A fused ``(R, W)``
-draw consumes the bitstream exactly like ``R`` sequential ``(W,)`` draws
-(numpy samples row-major, one probability at a time), so the fast path is
-**bit-identical** to ``simulate_uniform_batched(...,
-compact_rng="packed")`` for *any* ``compact_interval`` -- the packed
-stream is compaction-schedule-invariant, and this engine is simply its
-maximal-compaction limit.  Block size never changes results either:
+draws follow the *packed* compacted stream: active-width binomials in
+ascending original column order, winners' leader draws via
+``rng.integers`` in ascending original order.  A fused ``(R, W)`` draw
+consumes the bitstream exactly like ``R`` sequential ``(W,)`` draws (numpy
+samples row-major, one probability at a time), so the fast path is
+**bit-identical** to ``simulate_uniform_batched(..., compact_interval=k)``
+for *any* ``k`` -- the packed stream is compaction-schedule-invariant, and
+this engine is simply its maximal-compaction limit.  Block size never changes results either:
 grouping is derived from the grant timeline, block boundaries only split a
 jam run, and split fused draws consume the bitstream exactly like the
 unsplit ones -- ``block_size=1`` is bit-identical to
@@ -51,19 +50,18 @@ Fallback triggers
 -----------------
 Anything that makes per-slot conditioning real falls back to
 :func:`repro.sim.batched.simulate_uniform_batched` with the original
-arguments, recording a loud one-time ``engine_fallback_total`` counter:
+arguments, counted in ``engine_fallback_total{engine="megakernel"}``:
 adaptive or randomized strategies (no ``want_schedule``), strategies with
 feedback hooks, non-default adversary classes, strict budgets, enabled
-fault models, auditors, ``halt_on_single=False``, policies outside the
-supported set (LESK / sweep / no-CD sweep), and ``compact_rng="legacy"``.
-``compact_interval`` is accepted and ignored: the megakernel always
-retires winners immediately, and the packed stream is compaction-
-schedule-invariant.
+fault models, auditors, ``halt_on_single=False``, and policies outside
+the supported set (LESK / sweep / no-CD sweep).  ``compact_interval`` is
+forwarded to the fallback and otherwise ignored: the megakernel always
+retires winners immediately, and with an explicit interval both paths
+consume the same packed stream.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 import threading
 from collections import deque
@@ -83,6 +81,7 @@ from repro.protocols.vector import (
 from repro.rng import RngLike, make_rng
 from repro.sim.batched import BatchRunResult, simulate_uniform_batched
 from repro.sim.instrumentation import EngineRecorder
+from repro.sim.instrumentation import record_engine_fallback as _record_fallback
 from repro.sim.kernels import apply_lesk_outcomes_numpy, get_lesk_kernel
 from repro.telemetry import get_telemetry
 
@@ -97,27 +96,6 @@ __all__ = [
 #: scheduling overhead against the cost of running the scalar budget ahead
 #: of columns that may all retire early.
 DEFAULT_BLOCK_SLOTS = 64
-
-_log = logging.getLogger(__name__)
-
-#: Fallback reasons already warned about in this process -- the warning
-#: fires once per reason, the telemetry counter on every fallback.
-_FALLBACK_WARNED: set[str] = set()
-
-
-def _record_fallback(reason: str) -> None:
-    """Loud one-time note that a megakernel request ran per-slot instead."""
-    get_telemetry().counter(
-        "engine_fallback_total", engine="megakernel", reason=reason
-    ).inc()
-    if reason not in _FALLBACK_WARNED:
-        _FALLBACK_WARNED.add(reason)
-        _log.warning(
-            "megakernel engine requested but the configuration conditions "
-            "per slot (reason=%s); falling back to the batched per-slot "
-            "loop",
-            reason,
-        )
 
 
 class _BudgetSchedule:
@@ -564,7 +542,6 @@ def megakernel_eligibility(
     halt_on_single: bool = True,
     faults=None,
     auditor=None,
-    compact_rng: str = "packed",
 ) -> str | None:
     """Return ``None`` when the fused fast path applies, else the reason
     the configuration must run per-slot (used as the fallback label)."""
@@ -577,8 +554,6 @@ def megakernel_eligibility(
 
         if not (isinstance(faults, FaultModel) and not faults.enabled):
             return "faults"
-    if compact_rng != "packed":
-        return f"compact_rng:{compact_rng}"
     if type(policy) not in _LADDERS:
         return f"policy:{type(policy).__name__}"
     if type(adversary) is not BatchedAdversary:
@@ -608,7 +583,6 @@ def simulate_uniform_megakernel(
     faults=None,
     auditor=None,
     compact_interval: int | None = None,
-    compact_rng: str = "packed",
     block_size: int = DEFAULT_BLOCK_SLOTS,
     kernel_backend: str = "auto",
 ) -> BatchRunResult:
@@ -628,10 +602,6 @@ def simulate_uniform_megakernel(
         raise ConfigurationError(f"max_slots must be >= 1, got {max_slots}")
     if block_size < 1:
         raise ConfigurationError(f"block_size must be >= 1, got {block_size}")
-    if compact_rng not in ("packed", "legacy"):
-        raise ConfigurationError(
-            f"compact_rng must be 'packed' or 'legacy', got {compact_rng!r}"
-        )
     if compact_interval is not None and compact_interval < 1:
         raise ConfigurationError(
             f"compact_interval must be >= 1, got {compact_interval}"
@@ -650,10 +620,9 @@ def simulate_uniform_megakernel(
         halt_on_single=halt_on_single,
         faults=faults,
         auditor=auditor,
-        compact_rng=compact_rng,
     )
     if reason is not None:
-        _record_fallback(reason)
+        _record_fallback("megakernel", reason, "the batched per-slot loop")
         return simulate_uniform_batched(
             policy_factory,
             n,
@@ -665,7 +634,6 @@ def simulate_uniform_megakernel(
             faults=faults,
             auditor=auditor,
             compact_interval=compact_interval,
-            compact_rng=compact_rng,
         )
 
     # -- prelude: byte-compatible with the batched engine -----------------

@@ -30,8 +30,8 @@ def timed(name: str | None = None, **labels) -> Callable[[F], F]:
 
     The span name defaults to the function's qualified name::
 
-        @timed("harness.lesk_cell")
-        def lesk_cell(...): ...
+        @timed("harness.run_cell")
+        def run_cell(...): ...
     """
 
     def decorate(fn: F) -> F:

@@ -121,6 +121,21 @@ def test_resume_refuses_mismatched_manifest(tmp_path, capsys):
     assert "--preset/--only/--seed" in err
 
 
+def test_resume_refuses_format_1_run_dir(tmp_path, capsys):
+    """A run directory written before the one-stream engine change (manifest
+    format 1) holds tables this build cannot reproduce: never resume it."""
+    assert run_main("--only", "T10", "--out", str(tmp_path)) == 0
+    manifest_path = tmp_path / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["format"] = 1
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert run_main("--only", "T10", "--resume", str(tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert "refusing to resume" in err
+    assert "format: run dir has 1, this invocation has 2" in err
+
+
 def test_out_and_resume_are_mutually_exclusive(tmp_path):
     with pytest.raises(SystemExit):
         main(["--out", str(tmp_path / "a"), "--resume", str(tmp_path / "b")])

@@ -1,7 +1,7 @@
 """replicate_batched: harness wiring of the batched engine.
 
-Checks seed-stability, summary-dict compatibility with the scalar
-``replicate`` path, and the experiment-level preset switch.
+Checks seed-stability and summary-dict compatibility with the scalar
+``replicate`` path.
 """
 
 from __future__ import annotations
@@ -12,9 +12,8 @@ import pytest
 from repro.adversary.vector import make_batched_adversary
 from repro.core.election import elect_leader
 from repro.errors import ConfigurationError
-from repro.experiments.cells import lesk_cell
+from repro.experiments.cells import run_cell
 from repro.experiments.harness import (
-    batched_enabled,
     replicate,
     replicate_batched,
     summarize_times,
@@ -72,25 +71,23 @@ def test_summary_dict_matches_replicate_schema():
 
 
 def test_lesk_cell_scalar_fallback_for_adaptive_adversary():
-    """Adaptive strategies have no vector path; the cell falls back to the
-    scalar engine and still produces the same result schema."""
-    results = lesk_cell(N, EPS, T, "single-suppressor", 5, 11, batched=True)
+    """Adaptive strategies run batched too (the megakernel hands them to
+    the batched loop) and produce the same result schema."""
+    results = run_cell("lesk", N, EPS, T, "single-suppressor", 5, 11)
     assert len(results) == 5
     assert all(r.elected for r in results)
 
 
 def test_lesk_cell_engines_agree_in_law():
-    batched = lesk_cell(N, EPS, T, "saturating", 40, 9, batched=True)
-    scalar = lesk_cell(N, EPS, T, "saturating", 40, 9, batched=False)
+    batched = run_cell("lesk", N, EPS, T, "saturating", 40, 9)
+    scalar = replicate(
+        lambda s: elect_leader(n=N, eps=EPS, T=T, adversary="saturating", seed=s),
+        40,
+        9,
+    )
     assert np.median([r.slots for r in batched]) == pytest.approx(
         np.median([r.slots for r in scalar]), rel=0.3
     )
-
-
-def test_batched_enabled_defaults():
-    assert batched_enabled("small") is True
-    assert batched_enabled("full") is True
-    assert batched_enabled("unknown-preset") is False
 
 
 def test_bad_reps():

@@ -4,8 +4,8 @@ The determinism law: the rep-block partition and per-block seeds depend
 only on ``(reps, block_size)`` and the spec's seed path -- never on the
 job count -- so any ``jobs`` produces bit-identical results.  Telemetry
 shards produced inside worker processes must come home to the parent sink,
-and an unbatchable component must fall back *loudly* (counter + one-time
-warning), never silently.
+an engine fallback is counted and logged, and an unbatchable adversary
+fails loudly instead of silently running elsewhere.
 """
 
 from __future__ import annotations
@@ -17,15 +17,15 @@ import pytest
 from repro import telemetry
 from repro.core.config import default_slot_budget
 from repro.errors import ConfigurationError
-from repro.experiments import harness
 from repro.experiments.cells import (
     CellSpec,
     cell_slot_budget,
-    lesk_cell,
-    lesu_cell,
+    run_cell,
     run_cells_sharded,
 )
-from repro.experiments.harness import ShardedScheduler, record_engine_fallback
+from repro.experiments.harness import ShardedScheduler
+from repro.sim import instrumentation
+from repro.sim.instrumentation import record_engine_fallback
 
 SPECS = [
     CellSpec(
@@ -81,17 +81,6 @@ class TestDeterminism:
                 assert sum(blocks) == reps
                 assert all(b == 7 for b in blocks[:-1])
                 assert 1 <= blocks[-1] <= 7
-
-    def test_scalar_and_batched_paths_shard_identically_in_law(self):
-        """Sharding composes with either engine: same spec, scalar path,
-        still deterministic across job counts."""
-        spec = CellSpec(
-            kind="lesk", n=64, eps=0.5, T=8, adversary="saturating",
-            reps=24, root_seed=3, path=(9,), batched=False,
-        )
-        a = run_cells_sharded([spec], jobs=1, block_size=8)
-        b = run_cells_sharded([spec], jobs=2, block_size=8)
-        assert _key(a[0]) == _key(b[0])
 
 
 class TestBlockSeedCollisionFreedom:
@@ -185,34 +174,35 @@ class TestTelemetryMerge:
 
 class TestLoudFallback:
     def test_counter_and_warning(self, monkeypatch, caplog):
-        monkeypatch.setattr(harness, "_FALLBACK_WARNED", set())
+        monkeypatch.setattr(instrumentation, "_FALLBACK_LOGGED", set())
         with telemetry.collecting() as sink:
-            with caplog.at_level(logging.WARNING, logger="repro.experiments.harness"):
-                record_engine_fallback("adversary 'hypothetical'", reason="test")
-                record_engine_fallback("adversary 'hypothetical'", reason="test")
-        assert sink.metrics.counter_total("engine_fallback_total") == 2
-        warnings = [r for r in caplog.records if "no vectorized" in r.getMessage()]
-        assert len(warnings) == 1  # warned once, counted twice
+            with caplog.at_level(logging.INFO, logger="repro.sim.instrumentation"):
+                record_engine_fallback("megakernel", "test", "the batched loop")
+                record_engine_fallback("megakernel", "test", "the batched loop")
+        assert (
+            sink.metrics.counter_value(
+                "engine_fallback_total", engine="megakernel", reason="test"
+            )
+            == 2
+        )
+        logged = [
+            r for r in caplog.records
+            if "megakernel engine does not serve" in r.getMessage()
+            and "running the batched loop instead" in r.getMessage()
+        ]
+        assert len(logged) == 1  # logged once, counted twice
 
-    def test_unbatchable_adversary_falls_back_loudly(self, monkeypatch, caplog):
+    def test_unbatchable_adversary_fails_loudly(self, monkeypatch):
+        """A strategy without a batched implementation never runs on some
+        other engine in silence: the cell refuses it by name."""
         from repro.adversary import suite
         from repro.adversary.oblivious import NoJamming
 
         monkeypatch.setitem(
             suite.STRATEGY_REGISTRY, "scalar-only", lambda T, eps: NoJamming()
         )
-        monkeypatch.setattr(harness, "_FALLBACK_WARNED", set())
-        with telemetry.collecting() as sink:
-            with caplog.at_level(logging.WARNING, logger="repro.experiments.harness"):
-                results = lesk_cell(
-                    64, 0.5, 8, "scalar-only", 4, 13, 0, batched=True
-                )
-        assert len(results) == 4 and all(r.elected for r in results)
-        assert sink.metrics.counter_total("engine_fallback_total") == 1
-        assert any(
-            "scalar-only" in r.getMessage() and "falling back" in r.getMessage()
-            for r in caplog.records
-        )
+        with pytest.raises(ConfigurationError, match="'scalar-only' has no batched"):
+            run_cell("lesk", 64, 0.5, 8, "scalar-only", 4, 13, 0)
 
 
 class TestScheduleCache:
@@ -246,9 +236,9 @@ class TestScheduleCache:
         from repro.protocols.vector import _lesu_table
 
         _lesu_table.cache_clear()
-        first = lesu_cell(256, 0.5, 8, "single-suppressor", 6, 77, 5, batched=True)
+        first = run_cell("lesu", 256, 0.5, 8, "single-suppressor", 6, 77, 5)
         assert _lesu_table.cache_info().currsize >= 1
-        second = lesu_cell(256, 0.5, 8, "single-suppressor", 6, 77, 5, batched=True)
+        second = run_cell("lesu", 256, 0.5, 8, "single-suppressor", 6, 77, 5)
         assert _lesu_table.cache_info().hits >= 1
         assert _key(first) == _key(second)
         # Fixed-seed pin guarding the cached schedule/budget combination.

@@ -60,11 +60,6 @@ class TestValidationErrors:
         ),
         ({"reps": -3}, "reps", "must be an integer >= 1, got -3"),
         ({"schema": 99}, "schema", "unsupported scenario schema 99"),
-        (
-            {"engine": {"batched": False, "compact_interval": 32}},
-            "engine.compact_interval",
-            "conflicts with engine.batched: false",
-        ),
         ({"grid": {"adversary": ["random"]}}, "grid.n", "required axis is missing"),
         ({"grid": {"n": [0]}}, "grid.n[0]", "positive integer"),
         ({"seed": -1}, "seed", "[0, 2**63)"),
@@ -123,6 +118,23 @@ class TestValidationErrors:
         with pytest.raises(ConfigurationError, match="max_total_reps"):
             scenario_from_jsonable(too_deep)
 
+    def test_unbatchable_adversary_rejected_with_path(self, monkeypatch):
+        """Every cell runs batched, so a registered strategy without a
+        batched implementation fails at validation, not at run time."""
+        from repro.adversary import suite
+        from repro.adversary.oblivious import NoJamming
+
+        monkeypatch.setitem(
+            suite.STRATEGY_REGISTRY, "scalar-only", lambda T, eps: NoJamming()
+        )
+        bad = doc(grid={"n": [8], "adversary": ["random", "scalar-only"]})
+        with pytest.raises(ConfigurationError) as err:
+            scenario_from_jsonable(bad, source="<test>")
+        assert (
+            "grid.adversary[1]: adversary 'scalar-only' has no batched "
+            "implementation"
+        ) in str(err.value)
+
     def test_non_mapping_top_level(self):
         with pytest.raises(ConfigurationError, match="top level must be a mapping"):
             scenario_from_jsonable(["not", "a", "mapping"])
@@ -174,7 +186,6 @@ class TestCanonicalDigest:
             {"seed": 8},
             {"reps": 5},
             {"grid": {"kind": ["lesu"], "n": [8], "adversary": ["random"]}},
-            {"engine": {"compact_interval": 32}},
             {"sharding": {"block_size": 2}},
             {"faults": {"crash_rate": 0.01}},
         ):
@@ -184,7 +195,7 @@ class TestCanonicalDigest:
     def test_normalized_document_round_trips(self):
         scenario = scenario_from_jsonable(
             doc(
-                engine={"batched": True, "max_slots": 500},
+                engine={"max_slots": 500},
                 faults={"crash_rate": 0.01},
                 telemetry={"enabled": True},
             )
@@ -220,13 +231,12 @@ class TestExpand:
     def test_engine_and_fault_options_reach_every_spec(self):
         scenario = scenario_from_jsonable(
             doc(
-                engine={"batched": True, "max_slots": 700, "compact_interval": 16},
+                engine={"max_slots": 700},
                 faults={"crash_rate": 0.02},
             )
         )
         (spec,) = expand(scenario)
         assert spec.max_slots == 700
-        assert spec.compact_interval == 16
         assert spec.faults == FaultModel(crash_rate=0.02)
 
     def test_matches_sweep_build_specs_bit_for_bit(self):

@@ -152,6 +152,28 @@ class TestIntegrity:
         with pytest.raises(ChecksumMismatchError, match="altered"):
             store.verify(record.run_id)
 
+    def test_format_1_run_refused_by_name(self, store, scenario):
+        """A run stored before the one-stream engine change (manifest format
+        1, whose scenario.json still carries ``engine.batched``) is refused
+        for what it is, not reported as tampered or as an invalid document."""
+        record, _ = store.register(scenario)
+        store.execute(record)
+        manifest_path = record.root / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["format"] = 1
+        manifest_path.write_text(json.dumps(manifest))
+        scenario_path = record.root / "scenario.json"
+        doc = json.loads(scenario_path.read_text())
+        doc["engine"] = {"batched": True, "max_slots": None, "compact_interval": None}
+        scenario_path.write_text(json.dumps(doc))
+        for check in (store.verify, store.replay):
+            with pytest.raises(ConfigurationError) as err:
+                check(record.run_id)
+            message = str(err.value)
+            assert "manifest format 1" in message
+            assert "packed RNG stream" in message
+            assert "altered" not in message and "engine.batched" not in message
+
     def test_verify_passes_on_intact_run(self, store, scenario):
         record, _ = store.register(scenario)
         store.execute(record)

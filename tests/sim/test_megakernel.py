@@ -7,7 +7,7 @@ The engine's two structural contracts are tested here:
   timeline is chunked, never the results: K in {1, 7, 64, max_slots}
   must yield identical ``BatchRunResult`` fields.
 * **Bit-identity with the packed batched stream** -- the megakernel is
-  the maximal-compaction limit of ``compact_rng="packed"``: for any
+  the maximal-compaction limit of the packed stream: for any
   explicit ``compact_interval`` the batched engine must produce the same
   arrays bit for bit, across all three fast-path policies and every
   schedulable strategy.
@@ -131,10 +131,7 @@ class TestBitIdentityWithPackedBatched:
     @pytest.mark.parametrize("strategy", SCHEDULABLE)
     def test_matches_packed_stream(self, policy, strategy):
         for interval in (1, 8):
-            ref = _batched(
-                policy, strategy, compact_interval=interval,
-                compact_rng="packed",
-            )
+            ref = _batched(policy, strategy, compact_interval=interval)
             got = _mega(policy, strategy, compact_interval=interval)
             assert_results_equal(
                 ref, got, f"{policy}/{strategy} ci={interval}"
@@ -143,7 +140,7 @@ class TestBitIdentityWithPackedBatched:
     def test_matches_across_root_seeds(self):
         for seed in range(8):
             ref = _batched("lesk", "saturating", reps=8, seed=seed,
-                           compact_interval=1, compact_rng="packed")
+                           compact_interval=1)
             got = _mega("lesk", "saturating", reps=8, seed=seed)
             assert_results_equal(ref, got, f"seed={seed}")
 
@@ -300,10 +297,6 @@ class TestFallback:
         assert megakernel_eligibility(policy, adaptive) is not None
         assert (
             megakernel_eligibility(policy, oblivious, halt_on_single=False)
-            is not None
-        )
-        assert (
-            megakernel_eligibility(policy, oblivious, compact_rng="legacy")
             is not None
         )
 
