@@ -242,7 +242,7 @@ class TestScheduleCache:
         assert _lesu_table.cache_info().hits >= 1
         assert _key(first) == _key(second)
         # Fixed-seed pin guarding the cached schedule/budget combination.
-        assert tuple(r.slots for r in first) == (12, 108, 14, 11, 11, 11)
+        assert tuple(r.slots for r in first) == (12, 95, 88, 11, 11, 11)
         assert all(r.elected for r in first)
 
 
