@@ -620,9 +620,8 @@ def _simulate_compact(
             # have won that earlier slot), so the fresh-single update
             # collapses into the win handling.  Packed draws leave k == 0
             # in retired columns, so the mask is already implicit there.
-            won = successful_single
-            if won.any():
-                pos = np.flatnonzero(won)
+            if successful_single.any():
+                pos = np.flatnonzero(successful_single)
                 orig = live_orig[pos]
                 fs_live[pos] = slot
                 if bf is not None:
