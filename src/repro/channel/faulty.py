@@ -1,15 +1,19 @@
-"""Fault-injecting wrapper over the pristine channel substrate.
+"""Observation-layer fault corruption: one rule, in scalar and array form.
 
-:func:`corrupt_observed` is the single point where the fault model's
-observation-layer corruption (:class:`repro.resilience.faults.SlotFaults`)
-rewrites what listeners hear; :class:`FaultyChannel` packages it with
-:func:`resolve_slot` for step-by-step use.  The engines call
-:func:`resolve_slot` + :func:`corrupt_observed` directly on their hot paths,
-so both entry points share identical semantics:
+:func:`corrupt_observed` is where the fault model's corruption
+(:class:`repro.resilience.faults.SlotFaults`) rewrites what listeners
+hear in the scalar engines (``sim.engine``, ``sim.fast``), right after
+:func:`~repro.channel.channel.resolve_slot`.  The array engines
+(``sim.batched``, ``sim.vectorized``) resolve a whole batch with
+:func:`observe_batch_states` and corrupt it with
+:func:`corrupt_observed_batch`; the differential harness
+(:mod:`repro.resilience.differential`) runs both forms in lockstep and
+compares them slot by slot.  The rule:
 
 * **erase** -- nobody hears the slot; feedback is withheld entirely
   (returned as ``None``), so even a successful Single goes unnoticed and
-  does not end a run.
+  does not end a run.  The array form leaves erasure to its caller, which
+  masks the erased columns out of the policy update and the win check.
 * **downgrade** -- collision detection degrades: a ``SINGLE`` is reported
   as ``COLLISION`` to everyone (a would-be winner does not learn it won).
 * **flip** -- ``NULL <-> COLLISION`` swap.  Unlike the budgeted adversary,
@@ -19,22 +23,27 @@ so both entry points share identical semantics:
 Order matters and is fixed: erase wins outright; otherwise downgrade is
 applied before flip (degraded hardware first, then the symbol-level lie).
 Corruption acts on the **observed** state -- after jamming -- and applies
-to all stations alike, keeping the three engines' count-level semantics
-identical.
+to all stations of a replication alike, keeping the engines' count-level
+semantics identical.
 """
 
 from __future__ import annotations
 
-from repro.channel.channel import SlotOutcome, resolve_slot
+import numpy as np
+
 from repro.types import ChannelState
 
-__all__ = ["corrupt_observed", "FaultyChannel"]
+__all__ = ["corrupt_observed", "observe_batch_states", "corrupt_observed_batch"]
 
 _FLIP = {
     ChannelState.NULL: ChannelState.COLLISION,
     ChannelState.COLLISION: ChannelState.NULL,
     ChannelState.SINGLE: ChannelState.SINGLE,
 }
+
+_NULL = np.int8(ChannelState.NULL)
+_SINGLE = np.int8(ChannelState.SINGLE)
+_COLLISION = np.int8(ChannelState.COLLISION)
 
 
 def corrupt_observed(observed: ChannelState, flags) -> "ChannelState | None":
@@ -53,53 +62,27 @@ def corrupt_observed(observed: ChannelState, flags) -> "ChannelState | None":
     return observed
 
 
-class FaultyChannel:
-    """Stateful channel that passes outcomes through a fault realization.
+def observe_batch_states(k: np.ndarray, jammed: np.ndarray) -> np.ndarray:
+    """Observed state codes of a batch of slots: ``resolve_slot(...)
+    .observed_state`` elementwise for transmitter counts *k* and jam mask
+    *jammed* (a jammed slot reads as a collision)."""
+    return np.where(jammed, _COLLISION, np.minimum(k, 2))
 
-    Wraps the pristine :class:`~repro.channel.channel.Channel` semantics:
-    each :meth:`step` resolves the slot physically, then asks the realized
-    fault schedule for this slot's corruption flags and rewrites the
-    observation.  Mirrors ``Channel.step`` for exploration and tests; the
-    engines inline the same two calls.
+
+def corrupt_observed_batch(observed: np.ndarray, flip, downgrade) -> np.ndarray:
+    """:func:`corrupt_observed` over an array of state codes, minus erasure.
+
+    *flip* is a per-element mask (or a bool); *downgrade* is a bool for the
+    whole batch or a per-element mask.  Returns a new array, or *observed*
+    itself when no element is corrupted.
     """
-
-    def __init__(self, realized) -> None:
-        #: :class:`repro.resilience.faults.RealizedFaults` driving corruption.
-        self.realized = realized
-        self._slot = 0
-        self._last: SlotOutcome | None = None
-        self._last_observed: ChannelState | None = None
-
-    @property
-    def slot(self) -> int:
-        """Index of the next slot to be resolved."""
-        return self._slot
-
-    @property
-    def last_outcome(self) -> SlotOutcome | None:
-        """Physical (pre-corruption) outcome of the last resolved slot."""
-        return self._last
-
-    @property
-    def last_observed(self) -> "ChannelState | None":
-        """Post-corruption observation of the last slot (None if erased)."""
-        return self._last_observed
-
-    def step(self, transmitters: int, jammed: bool = False) -> "ChannelState | None":
-        """Resolve the next slot, apply corruption, and advance time.
-
-        Returns the corrupted observation (``None`` when erased); the
-        physical outcome remains available via :attr:`last_outcome`.
-        """
-        outcome = resolve_slot(self._slot, transmitters, jammed)
-        flags = self.realized.begin_slot(self._slot, self.realized.awake_count(self._slot))
-        self._slot += 1
-        self._last = outcome
-        self._last_observed = corrupt_observed(outcome.observed_state, flags)
-        return self._last_observed
-
-    def reset(self) -> None:
-        """Rewind to slot 0 (the fault realization is *not* re-drawn)."""
-        self._slot = 0
-        self._last = None
-        self._last_observed = None
+    if np.any(downgrade):
+        observed = np.where(downgrade & (observed == _SINGLE), _COLLISION, observed)
+    if np.any(flip):
+        flipped = np.where(
+            observed == _NULL,
+            _COLLISION,
+            np.where(observed == _COLLISION, _NULL, observed),
+        )
+        observed = np.where(flip, flipped, observed)
+    return observed

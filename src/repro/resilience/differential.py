@@ -1,52 +1,61 @@
-"""Differential mode: scalar vs fast vs batched semantics in lockstep.
+"""Differential mode: every engine's slot semantics in lockstep, per protocol.
 
-The three engines cannot be compared run-for-run -- they consume their RNG
+The engines cannot be compared run-for-run -- they consume their RNG
 streams differently (per-station coin flips vs one binomial draw vs a
 batched binomial), so their bitstreams legitimately diverge.  What *must*
-agree is the **semantics**: given the same transmitter counts, jam
-decisions and fault corruption, the per-station adapter + feedback path,
-the shared-state scalar policy, and the vectorized column policy have to
+agree is the **semantics**: given the same transmitter uniforms, jam
+decisions and fault corruption, every implementation of a protocol has to
 produce the same probabilities, observations and halting decisions slot by
-slot.  This module runs exactly that comparison.
+slot.  This module runs exactly that comparison, for each production cell
+kind (:data:`repro.experiments.cells.CELL_KINDS`), selected by
+:attr:`DifferentialConfig.kind`.
 
-Each *stack* is one semantic implementation driven by a shared world:
+One skeleton, :meth:`_Stack.step`, owns the world side of a slot: the jam
+intent, the budget grant, channel resolution, fault corruption, the
+``tamper=`` self-test and the halting fingerprint.  It runs either the
+scalar expressions (:class:`~repro.adversary.budget.JammingBudget`,
+:func:`~repro.channel.channel.resolve_slot` +
+:func:`~repro.channel.faulty.corrupt_observed`) or the array engines' own
+(:class:`~repro.adversary.budget.JammingBudgetArray`,
+:func:`~repro.channel.faulty.observe_batch_states` +
+:func:`~repro.channel.faulty.corrupt_observed_batch`).  Each *stack*
+supplies only its protocol side:
 
 * ``scalar``  -- real :class:`~repro.protocols.base.UniformStationAdapter`
-  instances (one per station) fed scripted per-station uniforms, with
-  :func:`~repro.channel.feedback.feedback_for` delivery and a scalar
-  :class:`~repro.adversary.budget.JammingBudget`;
-* ``fast``    -- one shared :class:`~repro.protocols.lesk.LESKPolicy`
-  (the fast engine's semantics), same scalar budget class;
-* ``vector``  -- a :class:`~repro.protocols.vector.VectorLESKPolicy` with
-  ``reps=1`` and a :class:`~repro.adversary.budget.JammingBudgetArray`,
-  with the batched engine's vectorized observation/corruption expressions;
+  instances (one per station, each with its own copy of the kind's
+  :data:`SCALAR_POLICIES` policy) fed scripted per-station uniforms, with
+  :func:`~repro.channel.feedback.feedback_for` delivery;
+* ``fast``    -- one shared scalar policy (the fast engine's semantics);
+* ``vector``  -- the kind's production vector policy, one column wide
+  (the batched engine's semantics);
 * ``vectorized`` -- the vectorized *faithful* engine's semantics
   (:mod:`repro.sim.vectorized`): a width-``n`` vector policy, one column
   per station cell, per-cell transmit decisions ``U < p`` from the shared
-  uniforms, and the engine's strong-CD observation/halting expressions;
+  uniforms, and the engine's strong-CD halting rule;
 * ``megakernel`` -- the slot-blocked engine's update arithmetic
-  (:mod:`repro.sim.megakernel`): the ``_LESKLadder`` exponent state with
-  its in-place ``exp2`` probability fast path, the pluggable LESK outcome
-  kernel (:mod:`repro.sim.kernels`), and the collision-only fold, stepped
-  one slot at a time so any drift between the fused block arithmetic and
-  the per-slot policies diverges here.
+  (:mod:`repro.sim.megakernel`): the kind's ladder with the engine's
+  default outcome kernel, stepped one slot at a time so any drift between
+  the fused block arithmetic and the per-slot policies diverges here.  It
+  runs only for kinds whose vector policy has a ladder
+  (:attr:`DifferentialConfig.stacks`).
 
 The shared world fixes, per slot: one uniform per station (transmit iff
-``U < p``, the adapters' own coupling), the churn/skew participation mask,
-the fault corruption flags, and a jam-intent sequence that is a
-*deterministic function of public history* -- either one of the scripted
-patterns in :data:`DETERMINISTIC_ADVERSARIES`, or one of the suite's
-adaptive strategies (:data:`ADAPTIVE_DIFFERENTIAL_ADVERSARIES`): those
-condition only on the trace / protocol state and never draw randomness,
-so the scalar stacks can host the real scalar
-:class:`~repro.adversary.base.JammingStrategy` and the vector stack the
+``U < p``, the adapters' own coupling), the participation mask, the fault
+corruption flags, and a jam-intent sequence that is a *deterministic
+function of public history* -- either one of the scripted patterns in
+:data:`DETERMINISTIC_ADVERSARIES`, or one of the suite's adaptive
+strategies (:data:`ADAPTIVE_DIFFERENTIAL_ADVERSARIES`): those condition
+only on the trace / protocol state and never draw randomness, so the
+scalar stacks can host the real scalar
+:class:`~repro.adversary.base.JammingStrategy` and the vector stacks the
 real :class:`~repro.adversary.vector.VectorJammingStrategy`, exercising
 the scalar-vs-vector adversary pair in the same lockstep harness.
 (*Randomized* strategies would entangle RNG streams and stay excluded.)
 Every stack computes its own ``p``, its own jam intent, its own budget
 grant and its own observed state; per-slot fingerprints are compared with
 a small float tolerance (``np.exp2(-u)`` and ``2.0**-u`` may differ in
-the last ulp).
+the last ulp).  A run halts at a heard ``Single`` or when the protocol
+completes on its own (Estimation returning its round).
 
 :func:`run_differential` scans and reports the first divergence;
 :func:`first_diverging_slot` binary-searches it by re-running prefixes
@@ -59,7 +68,7 @@ divergence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,14 +77,23 @@ from repro.adversary.budget import JammingBudget, JammingBudgetArray
 from repro.adversary.suite import STRATEGY_REGISTRY
 from repro.adversary.vector import BATCHED_STRATEGY_REGISTRY, BatchAdversaryView
 from repro.channel.channel import resolve_slot
-from repro.channel.faulty import corrupt_observed
+from repro.channel.faulty import (
+    corrupt_observed,
+    corrupt_observed_batch,
+    observe_batch_states,
+)
 from repro.channel.feedback import feedback_for
 from repro.errors import ConfigurationError
+from repro.experiments.cells import CELL_KINDS
 from repro.protocols.base import UniformStationAdapter
+from repro.protocols.baselines.nakano_olariu import NoCDSweepPolicy, UniformSweepPolicy
+from repro.protocols.estimation import EstimationPolicy
 from repro.protocols.lesk import LESKPolicy
-from repro.protocols.vector import VectorLESKPolicy
+from repro.protocols.lesu import LESUPolicy
 from repro.resilience.faults import NO_FAULTS, FaultModel
 from repro.rng import make_rng
+from repro.sim.kernels import get_lesk_kernel
+from repro.sim.megakernel import _LADDERS
 from repro.types import Action, CDMode, ChannelState, PerceivedState, SlotFeedback
 
 __all__ = [
@@ -86,11 +104,22 @@ __all__ = [
     "run_differential",
     "first_diverging_slot",
     "STACKS",
+    "SCALAR_POLICIES",
     "DETERMINISTIC_ADVERSARIES",
     "ADAPTIVE_DIFFERENTIAL_ADVERSARIES",
 ]
 
 STACKS = ("scalar", "fast", "vector", "vectorized", "megakernel")
+
+#: The scalar policy of each cell kind (``eps -> UniformPolicy``), with the
+#: parameters of the kind's production vector policy in ``CELL_KINDS``.
+SCALAR_POLICIES = {
+    "lesk": lambda eps: LESKPolicy(eps),
+    "lesu": lambda eps: LESUPolicy(),
+    "estimation": lambda eps: EstimationPolicy(L=2),
+    "sweep": lambda eps: UniformSweepPolicy(),
+    "nocd": lambda eps: NoCDSweepPolicy(),
+}
 
 #: Scripted jam-intent patterns (slot -> want-jam); cover
 #: never/always/periodic/bursty without any adversary state.  (The
@@ -101,7 +130,7 @@ DETERMINISTIC_ADVERSARIES = ("none", "saturating", "periodic-front", "burst")
 #: Suite strategies usable in differential mode: the adaptive family is
 #: deterministic given public history (no RNG draws), so each stack hosts
 #: its own instance -- scalar strategies for the scalar/fast stacks, their
-#: vector counterparts for the vector stack -- and the harness checks the
+#: vector counterparts for the vector stacks -- and the harness checks the
 #: *pair* agrees slot by slot.  Randomized strategies ("random") stay out.
 ADAPTIVE_DIFFERENTIAL_ADVERSARIES = (
     "reactive",
@@ -156,81 +185,9 @@ class _TraceShim:
         return ChannelState(self._observed[slot])
 
 
-class _ScalarIntent:
-    """Jam intent for a scalar-semantics stack: a scripted pattern, or a
-    real (stateful) scalar strategy instance fed a minimal trace shim."""
-
-    def __init__(self, config: "DifferentialConfig") -> None:
-        self.config = config
-        self.trace = _TraceShim()
-        self.strategy = (
-            STRATEGY_REGISTRY[config.adversary](config.T, config.eps)
-            if config.adversary in ADAPTIVE_DIFFERENTIAL_ADVERSARIES
-            else None
-        )
-
-    def want(self, slot: int, budget: JammingBudget, p: float, u: float) -> bool:
-        if self.strategy is None:
-            return _want_jam(self.config.adversary, slot, self.config.T)
-        view = AdversaryView(
-            slot=slot,
-            n=self.config.n,
-            trace=self.trace,  # type: ignore[arg-type]  # duck-typed shim
-            budget=budget,
-            transmit_probability=p,
-            protocol_u=u,
-        )
-        # rng=None asserts the strategy is deterministic: any draw raises.
-        return bool(self.strategy.wants_jam(view, None))
-
-    def observe(self, slot: int, observed: ChannelState) -> None:
-        if self.strategy is not None:
-            self.trace.record(slot, observed)
-
-
-class _VectorIntent:
-    """Jam intent for the vector stack: the scripted pattern lifted to a
-    1-column mask, or the real vectorized strategy counterpart."""
-
-    def __init__(self, config: "DifferentialConfig") -> None:
-        self.config = config
-        self.strategy = (
-            BATCHED_STRATEGY_REGISTRY[config.adversary](config.T, config.eps)
-            if config.adversary in ADAPTIVE_DIFFERENTIAL_ADVERSARIES
-            else None
-        )
-        if self.strategy is not None:
-            self.strategy.reset()
-
-    def want(
-        self,
-        slot: int,
-        budget: JammingBudgetArray,
-        p: np.ndarray,
-        u: np.ndarray,
-        active: np.ndarray,
-    ) -> np.ndarray:
-        if self.strategy is None:
-            return np.array([_want_jam(self.config.adversary, slot, self.config.T)])
-        view = BatchAdversaryView(
-            slot=slot,
-            n=self.config.n,
-            reps=1,
-            budget=budget,
-            transmit_probabilities=p,
-            protocol_u=u,
-            active=active,
-        )
-        return np.asarray(self.strategy.wants_jam_batch(view, None), dtype=bool)
-
-    def observe(self, slot: int, observed: np.ndarray, active: np.ndarray) -> None:
-        if self.strategy is not None:
-            self.strategy.observe_outcomes(slot, observed, active)
-
-
 @dataclass(frozen=True)
 class DifferentialConfig:
-    """One differential-mode comparison run (LESK, strong-CD)."""
+    """One differential-mode comparison run (strong-CD)."""
 
     n: int
     eps: float = 0.5
@@ -241,6 +198,8 @@ class DifferentialConfig:
     faults: FaultModel = NO_FAULTS
     #: Deliberately corrupt one stack's observation: ``(stack, slot)``.
     tamper: "tuple[str, int] | None" = None
+    #: Protocol under test: a :data:`~repro.experiments.cells.CELL_KINDS` name.
+    kind: str = "lesk"
 
     def __post_init__(self):
         if self.n < 1:
@@ -251,8 +210,8 @@ class DifferentialConfig:
             # policy state drifts from the shared one); the uniform engines
             # approximate this by probability thinning.  Only corruption
             # faults -- which rewrite the *shared* observation identically
-            # for everyone -- keep the three semantics comparable slot by
-            # slot.  See docs/resilience.md.
+            # for everyone -- keep the semantics comparable slot by slot.
+            # See docs/resilience.md.
             raise ConfigurationError(
                 "differential mode supports corruption faults only "
                 "(flip/erase/downgrade); churn and clock skew legitimately "
@@ -267,10 +226,22 @@ class DifferentialConfig:
                 f"history-conditioned) adversary, got {self.adversary!r}; "
                 f"known: {known}"
             )
-        if self.tamper is not None and self.tamper[0] not in STACKS:
+        if self.kind not in SCALAR_POLICIES:
             raise ConfigurationError(
-                f"tamper stack must be one of {STACKS}, got {self.tamper[0]!r}"
+                f"unknown cell kind {self.kind!r}; known: {tuple(SCALAR_POLICIES)}"
             )
+        if self.tamper is not None and self.tamper[0] not in self.stacks:
+            raise ConfigurationError(
+                f"tamper stack must be one of {self.stacks} for kind "
+                f"{self.kind!r}, got {self.tamper[0]!r}"
+            )
+
+    @property
+    def stacks(self) -> tuple[str, ...]:
+        """The stacks hosting :attr:`kind`: the megakernel stack runs only
+        when the kind's vector policy has a megakernel ladder."""
+        laddered = type(CELL_KINDS[self.kind].policy(self.eps, 1)) in _LADDERS
+        return STACKS if laddered else tuple(s for s in STACKS if s != "megakernel")
 
 
 @dataclass(frozen=True)
@@ -334,7 +305,7 @@ class DifferentialReport:
 
 
 class _SharedWorld:
-    """Precomputed shared randomness: uniforms, churn masks, fault flags.
+    """Precomputed shared randomness: uniforms, participation, fault flags.
 
     Everything is realized eagerly so prefix re-runs (the bisection) replay
     the identical world.
@@ -376,430 +347,289 @@ def _tampered(observed: "ChannelState | None") -> "ChannelState | None":
     return ChannelState.NULL
 
 
-class _ScalarStack:
-    """Real per-station adapters + feedback_for + scalar budget."""
+class _Stack:
+    """One semantic implementation of the protocol, stepped slot by slot.
+
+    :meth:`step` is the shared skeleton; :attr:`vector` selects the scalar
+    or the array expressions for the budget, the adversary and the
+    channel.  Subclasses supply the protocol side:
+
+    * ``transmit(slot, uniforms, part) -> (p, u, k, view_p, view_u)`` --
+      the fingerprint's probability and estimator, the transmitter count,
+      and the probability/estimator the adversary is shown;
+    * ``update(slot, observed, heard) -> completed`` -- fold the slot's
+      corrupted observation (``None`` when erased; ``heard`` marks the
+      halting Single) and report whether the protocol finished on its own.
+    """
+
+    name: str
+    vector = False
+
+    def __init__(self, config: DifferentialConfig) -> None:
+        self.config = config
+        self.halted = False
+        if self.vector:
+            self.budget = JammingBudgetArray(config.T, config.eps, reps=1)
+            self.active = np.ones(1, dtype=bool)
+            registry = BATCHED_STRATEGY_REGISTRY
+        else:
+            self.budget = JammingBudget(config.T, config.eps)
+            self.trace = _TraceShim()
+            registry = STRATEGY_REGISTRY
+        self.strategy = None
+        if config.adversary in ADAPTIVE_DIFFERENTIAL_ADVERSARIES:
+            self.strategy = registry[config.adversary](config.T, config.eps)
+            if self.vector:
+                self.strategy.reset()
+
+    def _want(self, slot: int, p, u):
+        cfg = self.config
+        if self.strategy is None:
+            want = _want_jam(cfg.adversary, slot, cfg.T)
+            return np.array([want]) if self.vector else want
+        # rng=None asserts the strategy is deterministic: any draw raises.
+        if self.vector:
+            view = BatchAdversaryView(
+                slot=slot,
+                n=cfg.n,
+                reps=1,
+                budget=self.budget,
+                transmit_probabilities=p,
+                protocol_u=u,
+                active=self.active,
+            )
+            return np.asarray(self.strategy.wants_jam_batch(view, None), dtype=bool)
+        view = AdversaryView(
+            slot=slot,
+            n=cfg.n,
+            trace=self.trace,  # type: ignore[arg-type]  # duck-typed shim
+            budget=self.budget,
+            transmit_probability=p,
+            protocol_u=u,
+        )
+        return bool(self.strategy.wants_jam(view, None))
+
+    def step(self, slot: int, world: _SharedWorld) -> SlotFingerprint:
+        flags = world.flags[slot]
+        p, u, k, view_p, view_u = self.transmit(
+            slot, world.uniforms[slot], world.participating[slot]
+        )
+        want = self._want(slot, view_p, view_u)
+        # The adversary is fed the pre-fault-corruption state: it knows
+        # what it jammed and is not fooled by corrupted feedback.
+        if self.vector:
+            granted = self.budget.grant(want)
+            jammed = bool(granted[0])
+            observed = observe_batch_states(np.array([k]), granted)
+            if self.strategy is not None:
+                self.strategy.observe_outcomes(slot, observed, self.active)
+            if flags is not None:
+                observed = corrupt_observed_batch(
+                    observed, flags.flip, flags.downgrade
+                )
+            erased = flags is not None and flags.erase
+            state = None if erased else ChannelState(int(observed[0]))
+        else:
+            jammed = self.budget.grant(want)
+            state = resolve_slot(slot, k, jammed).observed_state
+            if self.strategy is not None:
+                self.trace.record(slot, state)
+            if flags is not None:
+                state = corrupt_observed(state, flags)
+        if self.config.tamper == (self.name, slot):
+            state = _tampered(state)
+        heard = k == 1 and not jammed and state is ChannelState.SINGLE
+        completed = self.update(slot, state, heard)
+        self.halted = heard or completed
+        return SlotFingerprint(
+            slot=slot,
+            p=p,
+            k=k,
+            jammed=jammed,
+            observed=_ERASED if state is None else int(state),
+            halted=self.halted,
+            u=u,
+        )
+
+
+class _ScalarStack(_Stack):
+    """Real per-station adapters + feedback_for."""
 
     name = "scalar"
 
     def __init__(self, config: DifferentialConfig) -> None:
-        self.config = config
-        self.budget = JammingBudget(config.T, config.eps)
-        self.intent = _ScalarIntent(config)
+        super().__init__(config)
+        make_policy = SCALAR_POLICIES[config.kind]
+        self.rngs = [_ScriptedRng() for _ in range(config.n)]
         self.stations = []
-        self.rngs = []
-        for sid in range(config.n):
+        for sid, rng in enumerate(self.rngs):
             adapter = UniformStationAdapter(
-                LESKPolicy(config.eps), cd_mode=CDMode.STRONG
+                make_policy(config.eps), cd_mode=CDMode.STRONG
             )
-            rng = _ScriptedRng()
             adapter.reset(sid, rng)
             self.stations.append(adapter)
-            self.rngs.append(rng)
-        self.halted = False
+        self.actions: dict[int, Action] = {}
 
-    def step(self, slot: int, world: _SharedWorld) -> SlotFingerprint:
-        cfg = self.config
-        part = world.participating[slot]
-        flags = world.flags[slot]
-        hints = [
-            s.transmit_probability_hint()
-            for s, alive in zip(self.stations, part)
-            if alive and not s.done
-        ]
+    def transmit(self, slot, uniforms, part):
+        live = [s for s, alive in zip(self.stations, part) if alive and not s.done]
+        hints = [s.transmit_probability_hint() for s in live]
         p = hints[0] if hints else 0.0
         if hints and (max(hints) - min(hints)) > FLOAT_TOL:
             # Per-station probabilities drifted apart: uniformity broke
             # inside this stack.  Surface it as an impossible fingerprint.
             p = math.nan
-        u = next(
-            (
-                s.u_hint()
-                for s, alive in zip(self.stations, part)
-                if alive and not s.done
-            ),
-            math.nan,
-        )
-        actions = [Action.LISTEN] * cfg.n
-        k = 0
+        u = live[0].u_hint() if live else math.nan
+        self.actions = {}
         for sid, station in enumerate(self.stations):
-            if not part[sid] or station.done:
-                continue
-            self.rngs[sid].value = world.uniforms[slot, sid]
-            action = station.begin_slot(slot)
-            actions[sid] = action
-            if action is Action.TRANSMIT:
-                k += 1
-        jammed = self.budget.grant(self.intent.want(slot, self.budget, p, u))
-        outcome = resolve_slot(slot, k, jammed)
-        self.intent.observe(slot, outcome.observed_state)
-        observed = (
-            corrupt_observed(outcome.observed_state, flags)
-            if flags is not None
-            else outcome.observed_state
-        )
-        if cfg.tamper == (self.name, slot):
-            observed = _tampered(observed)
-        for sid, station in enumerate(self.stations):
-            # Deliver end_slot exactly to the stations that got begin_slot.
-            if not part[sid] or station.done:
-                continue
+            if part[sid] and not station.done:
+                self.rngs[sid].value = uniforms[sid]
+                self.actions[sid] = station.begin_slot(slot)
+        k = sum(action is Action.TRANSMIT for action in self.actions.values())
+        return p, u, k, p, u
+
+    def update(self, slot, observed, heard):
+        # Deliver end_slot exactly to the stations that got begin_slot.
+        for sid, action in self.actions.items():
+            transmitted = action is Action.TRANSMIT
             if observed is None:
                 fb = SlotFeedback(
-                    transmitted=actions[sid] is Action.TRANSMIT,
-                    perceived=PerceivedState.UNKNOWN,
+                    transmitted=transmitted, perceived=PerceivedState.UNKNOWN
                 )
             else:
                 fb = feedback_for(
-                    transmitted=actions[sid] is Action.TRANSMIT,
-                    observed=observed,
-                    mode=CDMode.STRONG,
+                    transmitted=transmitted, observed=observed, mode=CDMode.STRONG
                 )
-            station.end_slot(slot, fb)
-        self.halted = outcome.successful_single and observed is ChannelState.SINGLE
-        return SlotFingerprint(
-            slot=slot,
-            p=p,
-            k=k,
-            jammed=jammed,
-            observed=_ERASED if observed is None else int(observed),
-            halted=self.halted,
-            u=u,
-        )
+            self.stations[sid].end_slot(slot, fb)
+        return all(station.done for station in self.stations)
 
 
-class _FastStack:
-    """Shared scalar LESKPolicy (the fast engine's semantics)."""
+class _FastStack(_Stack):
+    """One shared scalar policy (the fast engine's semantics)."""
 
     name = "fast"
 
     def __init__(self, config: DifferentialConfig) -> None:
-        self.config = config
-        self.budget = JammingBudget(config.T, config.eps)
-        self.intent = _ScalarIntent(config)
-        self.policy = LESKPolicy(config.eps)
-        self.halted = False
+        super().__init__(config)
+        self.policy = SCALAR_POLICIES[config.kind](config.eps)
 
-    def step(self, slot: int, world: _SharedWorld) -> SlotFingerprint:
-        cfg = self.config
-        part = world.participating[slot]
-        flags = world.flags[slot]
+    def transmit(self, slot, uniforms, part):
         p = self.policy.transmit_probability(slot)
         u = self.policy.u
-        if p <= 0.0:
-            k = 0
-        else:
-            k = int(np.count_nonzero(part & (world.uniforms[slot] < p)))
-        jammed = self.budget.grant(self.intent.want(slot, self.budget, p, u))
-        outcome = resolve_slot(slot, k, jammed)
-        self.intent.observe(slot, outcome.observed_state)
-        observed = (
-            corrupt_observed(outcome.observed_state, flags)
-            if flags is not None
-            else outcome.observed_state
-        )
-        if cfg.tamper == (self.name, slot):
-            observed = _tampered(observed)
-        self.halted = outcome.successful_single and observed is ChannelState.SINGLE
-        if not self.halted and observed is not None:
+        k = int(np.count_nonzero(part & (uniforms < p)))
+        return p, u, k, p, u
+
+    def update(self, slot, observed, heard):
+        if not heard and observed is not None:
             self.policy.observe(slot, observed)
-        return SlotFingerprint(
-            slot=slot,
-            p=p,
-            k=k,
-            jammed=jammed,
-            observed=_ERASED if observed is None else int(observed),
-            halted=self.halted,
-            u=u,
-        )
+        return self.policy.completed
 
 
-class _VectorStack:
-    """VectorLESKPolicy (reps=1) + JammingBudgetArray + vectorized channel."""
+class _VectorStack(_Stack):
+    """The kind's production vector policy, one column (batched engine)."""
 
     name = "vector"
+    vector = True
 
     def __init__(self, config: DifferentialConfig) -> None:
-        self.config = config
-        self.budget = JammingBudgetArray(config.T, config.eps, reps=1)
-        self.intent = _VectorIntent(config)
-        self.policy = VectorLESKPolicy(config.eps, reps=1)
-        self.active = np.ones(1, dtype=bool)
-        self.halted = False
+        super().__init__(config)
+        self.policy = CELL_KINDS[config.kind].policy(config.eps, 1)
 
-    def step(self, slot: int, world: _SharedWorld) -> SlotFingerprint:
-        cfg = self.config
-        part = world.participating[slot]
-        flags = world.flags[slot]
+    def transmit(self, slot, uniforms, part):
         p_arr = self.policy.transmit_probabilities(slot)
         p = float(p_arr[0])
-        u = float(self.policy.u[0])
-        if p <= 0.0:
-            k = 0
-        else:
-            k = int(np.count_nonzero(part & (world.uniforms[slot] < p)))
-        want = self.intent.want(slot, self.budget, p_arr, self.policy.u, self.active)
-        jammed = bool(self.budget.grant(want)[0])
-        k_arr = np.array([k], dtype=np.int64)
-        # The batched engine's observation expressions, verbatim.
-        observed_arr = np.where(
-            np.array([jammed]),
-            np.int8(ChannelState.COLLISION),
-            np.minimum(k_arr, 2).astype(np.int8),
-        )
-        # Pre-fault-corruption feedback, mirroring the batched engine's
-        # observe_outcomes hook placement.
-        self.intent.observe(slot, observed_arr, self.active)
-        erased = False
-        if flags is not None:
-            if flags.downgrade:
-                observed_arr = np.where(
-                    observed_arr == np.int8(ChannelState.SINGLE),
-                    np.int8(ChannelState.COLLISION),
-                    observed_arr,
-                )
-            if flags.flip:
-                observed_arr = np.where(
-                    observed_arr == np.int8(ChannelState.NULL),
-                    np.int8(ChannelState.COLLISION),
-                    np.where(
-                        observed_arr == np.int8(ChannelState.COLLISION),
-                        np.int8(ChannelState.NULL),
-                        observed_arr,
-                    ),
-                )
-            erased = flags.erase
-        if cfg.tamper == (self.name, slot):
-            tampered = _tampered(None if erased else ChannelState(int(observed_arr[0])))
-            erased = tampered is None
-            if not erased:
-                observed_arr = np.array([np.int8(tampered)])
-        heard_single = (
-            k == 1 and not jammed and not erased
-            and int(observed_arr[0]) == int(ChannelState.SINGLE)
-        )
-        self.halted = heard_single
-        if not self.halted:
-            self.policy.observe_batch(
-                slot, observed_arr, self.active & ~np.array([erased])
-            )
-        return SlotFingerprint(
-            slot=slot,
-            p=p,
-            k=k,
-            jammed=jammed,
-            observed=_ERASED if erased else int(observed_arr[0]),
-            halted=self.halted,
-            u=u,
-        )
+        k = int(np.count_nonzero(part & (uniforms < p)))
+        return p, float(self.policy.u[0]), k, p_arr, self.policy.u
+
+    def update(self, slot, observed, heard):
+        if not heard and observed is not None:
+            states = np.array([observed], dtype=np.int8)
+            self.policy.observe_batch(slot, states, self.active)
+        return bool(self.policy.completed[0])
 
 
-class _VectorizedFaithfulStack:
-    """The vectorized faithful engine's per-cell semantics, one rep.
-
-    Width-``n`` :class:`VectorLESKPolicy` (one column per station cell),
-    per-cell transmit decisions from the shared uniforms, and the
-    strong-CD observation/halting expressions of
-    :func:`repro.sim.vectorized.simulate_stations_vectorized` -- verbatim,
-    so a semantic drift in that engine's update path diverges here.
-    """
+class _VectorizedStack(_Stack):
+    """The vectorized faithful engine's per-cell semantics, one rep: a
+    width-``n`` vector policy, one column per station cell."""
 
     name = "vectorized"
+    vector = True
 
     def __init__(self, config: DifferentialConfig) -> None:
-        self.config = config
-        self.budget = JammingBudgetArray(config.T, config.eps, reps=1)
-        self.intent = _VectorIntent(config)
-        self.policy = VectorLESKPolicy(config.eps, reps=config.n)
+        super().__init__(config)
+        self.policy = CELL_KINDS[config.kind].policy(config.eps, config.n)
         self.cell_done = np.zeros(config.n, dtype=bool)
-        self.rep_active = np.ones(1, dtype=bool)
-        self.halted = False
+        self.alive = ~self.cell_done
 
-    def step(self, slot: int, world: _SharedWorld) -> SlotFingerprint:
-        cfg = self.config
-        part = world.participating[slot]
-        flags = world.flags[slot]
+    def transmit(self, slot, uniforms, part):
         p_vec = self.policy.transmit_probabilities(slot)
         u_vec = self.policy.u
-        alive = part & ~self.cell_done
-        live_p = p_vec[alive]
+        self.alive = part & ~self.cell_done
+        live_p = p_vec[self.alive]
         p = float(live_p[0]) if live_p.size else 0.0
         if live_p.size and float(live_p.max() - live_p.min()) > FLOAT_TOL:
             p = math.nan
-        u = float(u_vec[alive][0]) if alive.any() else math.nan
+        u = float(u_vec[self.alive][0]) if live_p.size else math.nan
         # The engine's station-0 probe hints (0.0 once that cell is done).
-        p_hint = 0.0 if self.cell_done[0] else float(p_vec[0])
-        transmit = alive & (world.uniforms[slot] < p_vec)
-        k = int(np.count_nonzero(transmit))
-        want = self.intent.want(
-            slot,
-            self.budget,
-            np.array([p_hint]),
-            u_vec[:1],
-            self.rep_active,
-        )
-        jammed = bool(self.budget.grant(want)[0])
-        # The engine's channel/corruption expressions, one rep wide.
-        observed_arr = np.where(
-            np.array([jammed]),
-            np.int8(ChannelState.COLLISION),
-            np.minimum(np.array([k], dtype=np.int64), 2).astype(np.int8),
-        )
-        self.intent.observe(slot, observed_arr, self.rep_active)
-        erased = False
-        if flags is not None:
-            if flags.downgrade:
-                observed_arr = np.where(
-                    observed_arr == np.int8(ChannelState.SINGLE),
-                    np.int8(ChannelState.COLLISION),
-                    observed_arr,
-                )
-            if flags.flip:
-                observed_arr = np.where(
-                    observed_arr == np.int8(ChannelState.NULL),
-                    np.int8(ChannelState.COLLISION),
-                    np.where(
-                        observed_arr == np.int8(ChannelState.COLLISION),
-                        np.int8(ChannelState.NULL),
-                        observed_arr,
-                    ),
-                )
-            erased = flags.erase
-        if cfg.tamper == (self.name, slot):
-            tampered = _tampered(None if erased else ChannelState(int(observed_arr[0])))
-            erased = tampered is None
-            if not erased:
-                observed_arr = np.array([np.int8(tampered)])
-        heard = (
-            k == 1 and not jammed and not erased
-            and int(observed_arr[0]) == int(ChannelState.SINGLE)
-        )
-        self.halted = heard
-        if not self.halted:
-            observers = alive if not erased else np.zeros(cfg.n, dtype=bool)
-            states = np.broadcast_to(observed_arr, (cfg.n,))
-            self.policy.observe_batch(slot, states, observers)
+        p_hint = np.array([0.0 if self.cell_done[0] else p_vec[0]])
+        k = int(np.count_nonzero(self.alive & (uniforms < p_vec)))
+        return p, u, k, p_hint, u_vec[:1]
+
+    def update(self, slot, observed, heard):
+        if not heard and observed is not None:
+            states = np.full(self.config.n, observed, dtype=np.int8)
+            self.policy.observe_batch(slot, states, self.alive)
             self.cell_done |= self.policy.completed
-        return SlotFingerprint(
-            slot=slot,
-            p=p,
-            k=k,
-            jammed=jammed,
-            observed=_ERASED if erased else int(observed_arr[0]),
-            halted=self.halted,
-            u=u,
-        )
+        return bool(self.cell_done.all())
 
 
-class _MegakernelStack:
-    """The megakernel's ladder + outcome-kernel arithmetic, one rep.
+class _MegakernelStack(_Stack):
+    """The megakernel's ladder arithmetic, one rep, one slot at a time.
 
-    Drives the slot-blocked engine's update state
-    (:class:`repro.sim.megakernel._LESKLadder`) a slot at a time: the
-    probability comes from the ladder's ``prepare_group`` fast path (the
-    in-place ``exp2(-u)`` the engine feeds its fused binomial draws),
-    Collision outcomes fold through ``apply_collision_only`` (the engine's
-    jam-run / all-collision path) and Null/Single outcomes through the
-    pluggable LESK kernel -- so a drift in any of those reductions
-    diverges against the per-slot stacks.  Faults are folded from the
-    *observed* state exactly as :meth:`VectorLESKPolicy.observe_batch`
-    would (the engine itself delegates faulty cells to the batched
-    engine, but the arithmetic contract is observed-state based either
-    way).
+    The probability comes from the ladder's ``prepare_group`` path (for
+    LESK the in-place ``exp2(-u)`` the engine feeds its fused binomial
+    draws); Collision outcomes fold through ``apply_collision_only`` (the
+    engine's jam-run / all-collision path) and Null/Single outcomes
+    through ``apply_free_outcome`` (for LESK the pluggable outcome
+    kernel).  Faults are folded from the *observed* state exactly as the
+    vector policy would (the engine itself delegates faulty cells to the
+    batched engine, but the arithmetic contract is observed-state based
+    either way).
     """
 
     name = "megakernel"
+    vector = True
 
     def __init__(self, config: DifferentialConfig) -> None:
-        from repro.sim.kernels import get_lesk_kernel
-        from repro.sim.megakernel import _LESKLadder
+        super().__init__(config)
+        policy = CELL_KINDS[config.kind].policy(config.eps, 1)
+        self.ladder = _LADDERS[type(policy)](policy, get_lesk_kernel())
 
-        self.config = config
-        self.budget = JammingBudgetArray(config.T, config.eps, reps=1)
-        self.intent = _VectorIntent(config)
-        self.ladder = _LESKLadder(
-            VectorLESKPolicy(config.eps, reps=1), get_lesk_kernel("numpy")
-        )
-        self.active = np.ones(1, dtype=bool)
-        self.halted = False
-
-    def step(self, slot: int, world: _SharedWorld) -> SlotFingerprint:
-        cfg = self.config
-        part = world.participating[slot]
-        flags = world.flags[slot]
-        ladder = self.ladder
-        u = float(ladder.u[0])
-        # The engine's probability path: prepare a zero-length jam run
-        # plus the free row (no exponent advance).
-        p_arr = ladder.prepare_group(0, True, 1)[0].copy()
+    def transmit(self, slot, uniforms, part):
+        u = float(np.ravel(self.ladder.u)[0])
+        # The engine's probability path: a zero-length jam run plus the
+        # free row (no exponent advance).
+        p_arr = self.ladder.prepare_group(0, True, 1)[0].copy()
+        self.ladder.commit_jams()
         p = float(p_arr[0])
-        if p <= 0.0:
-            k = 0
-        else:
-            k = int(np.count_nonzero(part & (world.uniforms[slot] < p)))
-        want = self.intent.want(slot, self.budget, p_arr, ladder.u, self.active)
-        jammed = bool(self.budget.grant(want)[0])
-        k_arr = np.array([k], dtype=np.int64)
-        observed_arr = np.where(
-            np.array([jammed]),
-            np.int8(ChannelState.COLLISION),
-            np.minimum(k_arr, 2).astype(np.int8),
-        )
-        self.intent.observe(slot, observed_arr, self.active)
-        erased = False
-        if flags is not None:
-            if flags.downgrade:
-                observed_arr = np.where(
-                    observed_arr == np.int8(ChannelState.SINGLE),
-                    np.int8(ChannelState.COLLISION),
-                    observed_arr,
-                )
-            if flags.flip:
-                observed_arr = np.where(
-                    observed_arr == np.int8(ChannelState.NULL),
-                    np.int8(ChannelState.COLLISION),
-                    np.where(
-                        observed_arr == np.int8(ChannelState.COLLISION),
-                        np.int8(ChannelState.NULL),
-                        observed_arr,
-                    ),
-                )
-            erased = flags.erase
-        if cfg.tamper == (self.name, slot):
-            tampered = _tampered(None if erased else ChannelState(int(observed_arr[0])))
-            erased = tampered is None
-            if not erased:
-                observed_arr = np.array([np.int8(tampered)])
-        heard_single = (
-            k == 1 and not jammed and not erased
-            and int(observed_arr[0]) == int(ChannelState.SINGLE)
-        )
-        self.halted = heard_single
-        ladder.commit_jams()
-        if not self.halted and not erased:
-            observed = int(observed_arr[0])
-            if observed == int(ChannelState.COLLISION):
-                ladder.apply_collision_only()
-            else:
-                # Null steps down, Single is a no-op -- both via the
-                # engine's pluggable kernel on the observed-state count.
-                k_eff = 0 if observed == int(ChannelState.NULL) else 1
-                ladder.apply_free_outcome(np.array([k_eff], dtype=np.int64))
-        return SlotFingerprint(
-            slot=slot,
-            p=p,
-            k=k,
-            jammed=jammed,
-            observed=_ERASED if erased else int(observed_arr[0]),
-            halted=self.halted,
-            u=u,
-        )
+        k = int(np.count_nonzero(part & (uniforms < p)))
+        return p, u, k, p_arr, np.array([u])
+
+    def update(self, slot, observed, heard):
+        if observed is ChannelState.COLLISION:
+            self.ladder.apply_collision_only()
+        elif observed is not None and not heard:
+            # Null steps down, Single is a no-op -- via the engine's
+            # free-slot fold on the observed-state count.
+            k_eff = 0 if observed is ChannelState.NULL else 1
+            self.ladder.apply_free_outcome(np.array([k_eff], dtype=np.int64))
+        return False
 
 
 _STACK_TYPES = {
     "scalar": _ScalarStack,
     "fast": _FastStack,
     "vector": _VectorStack,
-    "vectorized": _VectorizedFaithfulStack,
+    "vectorized": _VectorizedStack,
     "megakernel": _MegakernelStack,
 }
 
@@ -853,9 +683,10 @@ def _first_mismatch(
 
 
 def run_differential(config: DifferentialConfig) -> DifferentialReport:
-    """Run all three stacks over one shared world and compare every slot."""
+    """Run every stack hosting ``config.kind`` over one shared world and
+    compare every slot."""
     world = _SharedWorld(config)
-    sequences = {name: _run_stack(name, config, world) for name in STACKS}
+    sequences = {name: _run_stack(name, config, world) for name in config.stacks}
     divergence = _first_mismatch(sequences)
     return DifferentialReport(
         config=config,
@@ -874,15 +705,16 @@ def first_diverging_slot(config: DifferentialConfig) -> "int | None":
     when the stacks agree over the whole horizon.
     """
     world = _SharedWorld(config)
+    stacks = config.stacks
 
     def prefix_agrees(m: int) -> bool:
-        seqs = {name: _run_stack(name, config, world, upto=m) for name in STACKS}
+        seqs = {name: _run_stack(name, config, world, upto=m) for name in stacks}
         div = _first_mismatch(seqs)
         # A halt-length mismatch only counts once the longer run is within
         # the probe prefix; _first_mismatch already handles it.
         return div is None or div.slot >= m
 
-    full = {name: _run_stack(name, config, world) for name in STACKS}
+    full = {name: _run_stack(name, config, world) for name in stacks}
     div = _first_mismatch(full)
     if div is None:
         return None

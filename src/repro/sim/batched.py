@@ -43,6 +43,7 @@ from repro.adversary.vector import (
     BatchedAdversary,
     VectorJammingStrategy,
 )
+from repro.channel.faulty import corrupt_observed_batch, observe_batch_states
 from repro.errors import ConfigurationError
 from repro.protocols.vector import VectorUniformPolicy
 from repro.rng import RngLike, make_rng
@@ -55,7 +56,6 @@ __all__ = ["simulate_uniform_batched", "BatchRunResult"]
 
 _NULL = np.int8(ChannelState.NULL)
 _SINGLE = np.int8(ChannelState.SINGLE)
-_COLLISION = np.int8(ChannelState.COLLISION)
 
 
 @dataclass(slots=True)
@@ -240,11 +240,7 @@ def simulate_uniform_batched(
     # outcomes through this hook; duck-typed test adversaries may omit it.
     notify = getattr(adversary, "observe_outcomes", None)
 
-    # Per-slot scratch, hoisted out of the loop.  ``true8`` is refreshed
-    # with ``where=active`` only: retired columns keep a stale true-state,
-    # which nothing result-bearing reads (their policies, counters and
-    # budget snapshots are all frozen or masked by ``active``).
-    true8 = np.empty(reps, dtype=np.int8)
+    # Per-slot scratch, hoisted out of the loop.
     p_eff_buf = np.empty(reps, dtype=np.float64)
     energy_tmp = np.empty(reps, dtype=np.int64)
 
@@ -291,28 +287,18 @@ def simulate_uniform_batched(
         if rec is not None:
             rec.record_batch_slot(slot, k, jammed, active)
 
-        np.minimum(k, 2, out=true8, where=active)
-        observed = np.where(jammed, _COLLISION, true8)
+        observed = observe_batch_states(k, jammed)
         if notify is not None:
             # Pre-fault-corruption states: the adversary knows what it
             # jammed and is not fooled by the fault model's corrupted
             # feedback -- same semantics as the scalar engines' trace.
-            # (The fault block below rebinds ``observed`` via np.where, so
-            # the array handed over here is a stable snapshot.)
+            # (Corruption below never writes in place, so the array
+            # handed over here is a stable snapshot.)
             notify(slot, observed, active)
         if bf is not None:
-            # Same order as channel.faulty.corrupt_observed: erase wins
-            # (handled below by masking the policy update and the win
-            # check), then downgrade, then flip.
-            if downgrade:
-                observed = np.where(observed == _SINGLE, _COLLISION, observed)
-            if flip.any():
-                flipped = np.where(
-                    observed == _NULL,
-                    _COLLISION,
-                    np.where(observed == _COLLISION, _NULL, observed),
-                )
-                observed = np.where(flip, flipped, observed)
+            # Erasure is handled below by masking the policy update and
+            # the win check.
+            observed = corrupt_observed_batch(observed, flip, downgrade)
         if auditor is not None:
             if bf is not None:
                 corrupted = flip | erase
@@ -578,19 +564,11 @@ def _simulate_compact(
             if rec is not None:
                 rec.record_batch_slot(slot, k_rep, jammed_full, active_full)
 
-        observed = np.where(jammed, _COLLISION, np.minimum(k, 2))
+        observed = observe_batch_states(k, jammed)
         if notify is not None:
             notify(slot, observed, live_active)
         if bf is not None:
-            if downgrade:
-                observed = np.where(observed == _SINGLE, _COLLISION, observed)
-            if flip.any():
-                flipped = np.where(
-                    observed == _NULL,
-                    _COLLISION,
-                    np.where(observed == _COLLISION, _NULL, observed),
-                )
-                observed = np.where(flip, flipped, observed)
+            observed = corrupt_observed_batch(observed, flip, downgrade)
         if auditor is not None:
             if bf is not None:
                 corrupted = np.zeros(reps, dtype=bool)

@@ -475,7 +475,9 @@ class _SweepLadder:
     computed from exact scalar powers of two (no ``exp2`` array pass).
     """
 
-    def __init__(self, policy: VectorSweepPolicy) -> None:
+    def __init__(self, policy: VectorSweepPolicy, kernel=None) -> None:
+        # ``kernel`` is accepted for a uniform ladder constructor; the
+        # sweep schedule has no outcome fold to plug it into.
         self.u = int(policy._u[0])
         self.ceiling = int(policy._ceiling[0])
 
@@ -513,7 +515,7 @@ class _NoCDSweepLadder(_SweepLadder):
     """Scalar ladder for :class:`VectorNoCDSweepPolicy` (each exponent of
     sweep ``K`` repeated ``K`` times; refill happens after a doubling)."""
 
-    def __init__(self, policy: VectorNoCDSweepPolicy) -> None:
+    def __init__(self, policy: VectorNoCDSweepPolicy, kernel=None) -> None:
         self.u = int(policy._u[0])
         self.ceiling = int(policy._ceiling[0])
         self.repeat_left = int(policy._repeat_left[0])
@@ -641,10 +643,7 @@ def simulate_uniform_megakernel(
     adversary.reset(seed=rng.spawn(1)[0])
     strategy = adversary.strategy
     schedule = _schedule_cursor(adversary.T, adversary.eps, block_size)
-    if isinstance(policy, VectorLESKPolicy):
-        ladder = _LESKLadder(policy, kernel)
-    else:
-        ladder = _LADDERS[type(policy)](policy)
+    ladder = _LADDERS[type(policy)](policy, kernel)
 
     tel = get_telemetry()
     rec = (

@@ -45,6 +45,7 @@ from repro.adversary.vector import (
     BatchedAdversary,
     VectorJammingStrategy,
 )
+from repro.channel.faulty import corrupt_observed_batch, observe_batch_states
 from repro.errors import ConfigurationError
 from repro.protocols.vector import VectorUniformPolicy
 from repro.rng import RngLike, make_rng, spawn_many
@@ -55,7 +56,6 @@ from repro.types import CDMode, ChannelState
 
 __all__ = ["simulate_stations_vectorized"]
 
-_NULL = np.int8(ChannelState.NULL)
 _SINGLE = np.int8(ChannelState.SINGLE)
 _COLLISION = np.int8(ChannelState.COLLISION)
 
@@ -253,20 +253,12 @@ def simulate_stations_vectorized(
 
         # (3) the channel resolves per replication; fault corruption
         # rewrites the observation for every station of a rep alike.
-        observed = np.where(jammed, _COLLISION, np.minimum(k, 2))
+        observed = observe_batch_states(k, jammed)
         if notify is not None:
             # Pre-corruption states: the adversary knows what it jammed.
             notify(slot, observed, rep_active)
         if realized is not None:
-            observed = np.where(
-                downgrade & (observed == _SINGLE), _COLLISION, observed
-            )
-            flipped = np.where(
-                observed == _NULL,
-                _COLLISION,
-                np.where(observed == _COLLISION, _NULL, observed),
-            )
-            observed = np.where(flip, flipped, observed)
+            observed = corrupt_observed_batch(observed, flip, downgrade)
         if rec is not None:
             rec.record_batch_slot(slot, k, jammed, rep_active)
         if auditor is not None:
